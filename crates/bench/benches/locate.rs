@@ -5,15 +5,13 @@
 //! complementing the `repro` binary which measures *virtual-time* location
 //! latencies.
 
-// The legacy `run*` entry points are deprecated shims over `Scenario::run_with`;
-// these tests deliberately keep exercising them until the shims are removed.
-#![allow(deprecated)]
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use agentrack_core::{
     CentralizedScheme, ForwardingScheme, HashedScheme, HomeRegistryScheme, LocationConfig,
+    LocationScheme,
 };
-use agentrack_workload::Scenario;
+use agentrack_workload::{RunOptions, Scenario};
 
 fn mini_scenario(seed: u64) -> Scenario {
     Scenario::new("bench")
@@ -32,19 +30,15 @@ fn bench_scenario_per_scheme(c: &mut Criterion) {
             b.iter(|| {
                 seed += 1;
                 let scenario = mini_scenario(seed);
-                let report = match *kind {
-                    "hashed" => scenario.run(&mut HashedScheme::new(LocationConfig::default())),
-                    "centralized" => {
-                        scenario.run(&mut CentralizedScheme::new(LocationConfig::default()))
-                    }
-                    "home-registry" => {
-                        scenario.run(&mut HomeRegistryScheme::new(LocationConfig::default()))
-                    }
-                    "forwarding" => {
-                        scenario.run(&mut ForwardingScheme::new(LocationConfig::default()))
-                    }
+                let config = LocationConfig::default();
+                let mut scheme: Box<dyn LocationScheme> = match *kind {
+                    "hashed" => Box::new(HashedScheme::new(config)),
+                    "centralized" => Box::new(CentralizedScheme::new(config)),
+                    "home-registry" => Box::new(HomeRegistryScheme::new(config)),
+                    "forwarding" => Box::new(ForwardingScheme::new(config)),
                     _ => unreachable!(),
                 };
+                let report = scenario.run_with(scheme.as_mut(), RunOptions::new()).report;
                 assert!(report.locates_completed > 0);
                 report
             });

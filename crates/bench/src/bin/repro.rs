@@ -2,9 +2,19 @@
 //! experiments.
 //!
 //! ```text
-//! repro [--quick] [--csv DIR] [--jobs N] [exp1|exp2|ablation-split|
-//!        ablation-propagation|sweep-thresholds|skew|baselines|all]...
+//! repro [--quick] [--csv DIR] [--jobs N] [EXPERIMENT | all]...
 //! ```
+//!
+//! Experiments: `exp1` and `exp2` (the paper's Figures 7 and 8),
+//! `ablation-split`, `ablation-propagation`, `sweep-thresholds`, `skew`,
+//! `baselines`, `churn`, `locality`, `ablation-planning`, `delivery`,
+//! `trackers`, `chaos`, `attribution`, `recovery` and `rehash-spike`;
+//! `--help` lists them too. The ones with a spec file under `specs/`
+//! (`exp1`, `exp2`, the three ablations, `sweep-thresholds`, `chaos`,
+//! `rehash-spike`) run from it through the scenario lab's trial runner,
+//! with its post-quiesce invariant audit: any violation is reported and
+//! makes `repro` exit 1 once every chosen experiment has run, as
+//! `scenario_lab` does.
 //!
 //! With no experiment arguments, everything runs. `--quick` shrinks
 //! populations and spans for a fast smoke pass; the recorded results in
@@ -17,7 +27,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use agentrack_bench::{attribution, run_experiment, trackers_registry, Fidelity, EXPERIMENTS};
+use agentrack_bench::{run_experiment, Fidelity, EXPERIMENTS};
 
 fn main() -> ExitCode {
     let mut fidelity = Fidelity::Full;
@@ -76,37 +86,19 @@ fn main() -> ExitCode {
         }
     }
 
+    let mut dirty = false;
     for name in chosen {
         let started = std::time::Instant::now();
-        // The trackers experiment additionally exports the full metrics
-        // registry as JSON, and the attribution experiment exports a
-        // Perfetto trace plus a folded flamegraph; run each once and keep
-        // every rendering.
-        let (table, mut extra_files) = if name == "trackers" {
-            let (table, json) = trackers_registry(fidelity);
-            (table, vec![("trackers.json".to_owned(), json)])
-        } else if name == "attribution" {
-            let (table, perfetto, folded) = attribution(fidelity, jobs);
-            (
-                table,
-                vec![
-                    ("attribution.perfetto.json".to_owned(), perfetto),
-                    ("attribution.folded".to_owned(), folded),
-                ],
-            )
-        } else {
-            (run_experiment(&name, fidelity, jobs), Vec::new())
-        };
-        print!("{}", table.render());
+        let output = run_experiment(&name, fidelity, jobs);
+        print!("{}", output.table.render());
         println!("[{name} took {:.1?}]", started.elapsed());
+        if output.violations > 0 {
+            eprintln!("{name}: {} invariant violation(s)", output.violations);
+            dirty = true;
+        }
         if let Some(dir) = &csv_dir {
-            let path = dir.join(format!("{name}.csv"));
-            if let Err(e) = std::fs::write(&path, table.to_csv()) {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("[wrote {}]", path.display());
-            for (file, contents) in extra_files.drain(..) {
+            let csv = (format!("{name}.csv"), output.table.to_csv());
+            for (file, contents) in std::iter::once(csv).chain(output.files) {
                 let path = dir.join(file);
                 if let Err(e) = std::fs::write(&path, contents) {
                     eprintln!("cannot write {}: {e}", path.display());
@@ -115,6 +107,9 @@ fn main() -> ExitCode {
                 println!("[wrote {}]", path.display());
             }
         }
+    }
+    if dirty {
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

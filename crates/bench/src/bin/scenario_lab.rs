@@ -117,12 +117,7 @@ fn main() -> ExitCode {
             eprintln!("cannot write {}: {e}", trials.display());
             return ExitCode::FAILURE;
         }
-        let violations: usize = outcome
-            .trials
-            .iter()
-            .filter_map(|t| t.invariants.as_ref())
-            .map(|i| i.violations.len())
-            .sum();
+        let violations = outcome.violations();
         if violations > 0 {
             eprintln!("{}: {violations} invariant violation(s)", spec.name);
             dirty = true;

@@ -1,10 +1,12 @@
 //! # agentrack-bench
 //!
-//! The experiment harness: one function per figure of the paper's
-//! evaluation, plus the extension experiments (ablations, sensitivity
-//! sweeps, a baseline panel). The `repro` binary dispatches to these and
-//! prints the tables recorded in `EXPERIMENTS.md`; the Criterion benches
-//! under `benches/` cover the micro-level costs.
+//! The experiment harness behind the paper's evaluation and the extension
+//! experiments (ablations, sensitivity sweeps, a baseline panel). Most
+//! experiments are declarative specs under `specs/`, run by the generic
+//! trial runner ([`run_spec`]); the rest are hand-coded grids here.
+//! [`run_experiment`] dispatches either kind by name for the `repro`
+//! binary, which prints the tables recorded in `EXPERIMENTS.md`; the
+//! Criterion benches under `benches/` cover the micro-level costs.
 //!
 //! Every experiment takes a [`Fidelity`]: [`Fidelity::Full`] reproduces the
 //! paper's parameters (reconstructed where the source text lost digits —
@@ -246,242 +248,6 @@ fn run_scheme(scenario: &Scenario, kind: &str, config: LocationConfig) -> Scenar
     scenario.run_with(scheme.as_mut(), RunOptions::new()).report
 }
 
-/// **E1 / Figure 7 (Experiment I)** — location time vs. number of TAgents,
-/// centralized vs. hash-based. Residence fixed at 500 ms per node.
-#[must_use]
-pub fn exp1(fidelity: Fidelity, jobs: usize) -> Table {
-    let populations: &[usize] = &[100, 200, 300, 500, 1000];
-    let (warmup, measure) = fidelity.spans();
-    let mut table = Table::new(
-        "E1 (Figure 7): location time vs number of TAgents",
-        &[
-            "agents",
-            "centralized_ms",
-            "hashed_ms",
-            "hashed_p95_ms",
-            "iagents",
-            "splits",
-            "cen_done",
-            "hash_done",
-        ],
-    );
-    let cells: Vec<Cell> = populations
-        .iter()
-        .map(|&n| {
-            let agents = fidelity.scale_agents(n);
-            Box::new(move || {
-                let mut scenario = Scenario::new(format!("exp1-{agents}"))
-                    .with_agents(agents)
-                    .with_residence_ms(500)
-                    .with_queries(fidelity.queries())
-                    .with_seconds(warmup, measure);
-                scenario.grace = agentrack_sim::SimDuration::from_secs(45);
-                let cen = run_scheme(&scenario, "centralized", patient(LocationConfig::default()));
-                let hash = run_scheme(&scenario, "hashed", patient(LocationConfig::default()));
-                vec![
-                    agents.to_string(),
-                    ms_or_dnf(&cen),
-                    ms(hash.mean_locate_ms),
-                    ms(hash.p95_locate_ms),
-                    hash.trackers.to_string(),
-                    hash.splits.to_string(),
-                    cen.locates_completed.to_string(),
-                    hash.locates_completed.to_string(),
-                ]
-            }) as Cell
-        })
-        .collect();
-    table.rows = run_cells(cells, jobs);
-    table
-}
-
-/// **E2 / Figure 8 (Experiment II)** — location time vs. mobility rate
-/// (residence time per node), 200 TAgents.
-#[must_use]
-pub fn exp2(fidelity: Fidelity, jobs: usize) -> Table {
-    let residences: &[u64] = &[100, 200, 500, 1000, 2000];
-    let agents = fidelity.scale_agents(200);
-    let (warmup, measure) = fidelity.spans();
-    let mut table = Table::new(
-        "E2 (Figure 8): location time vs residence time per node",
-        &[
-            "residence_ms",
-            "centralized_ms",
-            "hashed_ms",
-            "hashed_p95_ms",
-            "iagents",
-            "cen_done",
-            "hash_done",
-        ],
-    );
-    let cells: Vec<Cell> = residences
-        .iter()
-        .map(|&res| {
-            Box::new(move || {
-                let mut scenario = Scenario::new(format!("exp2-{res}"))
-                    .with_agents(agents)
-                    .with_residence_ms(res)
-                    .with_queries(fidelity.queries())
-                    .with_seconds(warmup, measure);
-                scenario.grace = agentrack_sim::SimDuration::from_secs(45);
-                let cen = run_scheme(&scenario, "centralized", patient(LocationConfig::default()));
-                let hash = run_scheme(&scenario, "hashed", patient(LocationConfig::default()));
-                vec![
-                    res.to_string(),
-                    ms_or_dnf(&cen),
-                    ms(hash.mean_locate_ms),
-                    ms(hash.p95_locate_ms),
-                    hash.trackers.to_string(),
-                    cen.locates_completed.to_string(),
-                    hash.locates_completed.to_string(),
-                ]
-            }) as Cell
-        })
-        .collect();
-    table.rows = run_cells(cells, jobs);
-    table
-}
-
-/// **E3** — split-strategy ablation: the paper's complex-first splitting
-/// vs. simple-only, under the Experiment-I workload.
-#[must_use]
-pub fn ablation_split(fidelity: Fidelity, jobs: usize) -> Table {
-    let agents = fidelity.scale_agents(500);
-    let (warmup, measure) = fidelity.spans();
-    let scenario = Scenario::new("ablation-split")
-        .with_agents(agents)
-        .with_residence_ms(300)
-        .with_queries(fidelity.queries())
-        .with_seconds(warmup, measure);
-    let mut table = Table::new(
-        "E3: split-strategy ablation (complex-first vs simple-only)",
-        &[
-            "strategy",
-            "locate_ms",
-            "iagents",
-            "splits",
-            "merges",
-            "tree_height",
-            "mean_prefix_bits",
-        ],
-    );
-    let cells: Vec<Cell> = [
-        ("complex-first", LocationConfig::default()),
-        (
-            "simple-only",
-            LocationConfig::default().simple_splits_only(),
-        ),
-    ]
-    .into_iter()
-    .map(|(label, config)| {
-        let scenario = scenario.clone();
-        Box::new(move || {
-            let report = run_scheme(&scenario, "hashed", config);
-            vec![
-                label.to_owned(),
-                ms(report.mean_locate_ms),
-                report.trackers.to_string(),
-                report.splits.to_string(),
-                report.merges.to_string(),
-                report.tree_height.to_string(),
-                format!("{:.2}", report.mean_prefix_bits),
-            ]
-        }) as Cell
-    })
-    .collect();
-    table.rows = run_cells(cells, jobs);
-    table
-}
-
-/// **E4** — hash-function propagation ablation: the paper's lazy on-demand
-/// secondary copies vs. eager push to every LHAgent.
-#[must_use]
-pub fn ablation_propagation(fidelity: Fidelity, jobs: usize) -> Table {
-    let agents = fidelity.scale_agents(300);
-    let (warmup, measure) = fidelity.spans();
-    let scenario = Scenario::new("ablation-propagation")
-        .with_agents(agents)
-        .with_residence_ms(200)
-        .with_queries(fidelity.queries())
-        .with_seconds(warmup, measure);
-    let mut table = Table::new(
-        "E4: propagation ablation (lazy on-demand vs eager push)",
-        &[
-            "propagation",
-            "locate_ms",
-            "stale_hits",
-            "hf_fetches",
-            "messages",
-        ],
-    );
-    let cells: Vec<Cell> = [
-        ("lazy", LocationConfig::default()),
-        ("eager", LocationConfig::default().with_eager_propagation()),
-    ]
-    .into_iter()
-    .map(|(label, config)| {
-        let scenario = scenario.clone();
-        Box::new(move || {
-            let report = run_scheme(&scenario, "hashed", config);
-            vec![
-                label.to_owned(),
-                ms(report.mean_locate_ms),
-                report.stale_hits.to_string(),
-                report.hf_fetches.to_string(),
-                report.messages_sent.to_string(),
-            ]
-        }) as Cell
-    })
-    .collect();
-    table.rows = run_cells(cells, jobs);
-    table
-}
-
-/// **E5** — threshold sensitivity: sweep `T_max` (with `T_min = T_max/10`).
-#[must_use]
-pub fn sweep_thresholds(fidelity: Fidelity, jobs: usize) -> Table {
-    let agents = fidelity.scale_agents(300);
-    let (warmup, measure) = fidelity.spans();
-    let scenario = Scenario::new("sweep-thresholds")
-        .with_agents(agents)
-        .with_residence_ms(300)
-        .with_queries(fidelity.queries())
-        .with_seconds(warmup, measure);
-    let mut table = Table::new(
-        "E5: T_max sensitivity (T_min = T_max / 10)",
-        &[
-            "t_max",
-            "locate_ms",
-            "iagents",
-            "splits",
-            "merges",
-            "denied",
-        ],
-    );
-    let cells: Vec<Cell> = [10.0, 25.0, 50.0, 100.0, 200.0]
-        .into_iter()
-        .map(|t_max| {
-            let scenario = scenario.clone();
-            Box::new(move || {
-                let config = LocationConfig::default().with_thresholds(t_max, t_max / 10.0);
-                let mut scheme = HashedScheme::new(config);
-                let report = scenario.run_with(&mut scheme, RunOptions::new()).report;
-                let denied = scheme.stats().rehash_denied;
-                vec![
-                    format!("{t_max}"),
-                    ms(report.mean_locate_ms),
-                    report.trackers.to_string(),
-                    report.splits.to_string(),
-                    report.merges.to_string(),
-                    denied.to_string(),
-                ]
-            }) as Cell
-        })
-        .collect();
-    table.rows = run_cells(cells, jobs);
-    table
-}
-
 /// **E6** — skewed workloads: Zipf query popularity and Zipf node
 /// popularity. The paper balances *workload*, not item counts (its stated
 /// contrast with consistent hashing); this shows the load-driven splits
@@ -579,57 +345,6 @@ pub fn baselines(fidelity: Fidelity, jobs: usize) -> Table {
         row.push(failures.to_string());
         table.push_row(row);
     }
-    table
-}
-
-/// **E10** — split-planning ablation: the paper's statistics-driven even
-/// split vs. a blind `m = 1` split, under a workload where the blind
-/// choice is bad: query load Zipf-concentrated on a few agents, so the
-/// first bit rarely divides the *load* evenly even when it divides the
-/// *population* evenly.
-#[must_use]
-pub fn ablation_planning(fidelity: Fidelity, jobs: usize) -> Table {
-    let agents = fidelity.scale_agents(300);
-    let (warmup, measure) = fidelity.spans();
-    let mut table = Table::new(
-        "E10: split planning (statistics-driven vs blind m=1)",
-        &[
-            "planner",
-            "locate_ms",
-            "p95_ms",
-            "iagents",
-            "splits",
-            "denied",
-        ],
-    );
-    let cells: Vec<Cell> = [
-        ("even-split", LocationConfig::default()),
-        ("blind-m1", LocationConfig::default().with_blind_splits()),
-    ]
-    .into_iter()
-    .map(|(label, config)| {
-        Box::new(move || {
-            let mut scenario = Scenario::new(format!("planning-{label}"))
-                .with_agents(agents)
-                .with_residence_ms(300)
-                .with_queries(fidelity.queries())
-                .with_seconds(warmup, measure);
-            scenario.query_skew = Some(1.2);
-            let mut scheme = HashedScheme::new(patient(config));
-            let report = scenario.run_with(&mut scheme, RunOptions::new()).report;
-            let denied = scheme.stats().rehash_denied;
-            vec![
-                label.to_owned(),
-                ms(report.mean_locate_ms),
-                ms(report.p95_locate_ms),
-                report.trackers.to_string(),
-                report.splits.to_string(),
-                denied.to_string(),
-            ]
-        }) as Cell
-    })
-    .collect();
-    table.rows = run_cells(cells, jobs);
     table
 }
 
@@ -797,93 +512,6 @@ pub fn trackers_registry(fidelity: Fidelity) -> (Table, String) {
     (table, snapshot.to_json())
 }
 
-/// **E13** — fault injection: locate success rate and tail latency for
-/// all four schemes as randomized chaos (partitions, tracker crashes and
-/// restarts, latency spikes, loss bursts, blackholes) rises from none to
-/// full intensity. Every cell runs the post-quiesce invariant audit; the
-/// `violations` column counts what it found (0 = the scheme recovered
-/// everything the fault model allows it to).
-#[must_use]
-pub fn chaos(fidelity: Fidelity, jobs: usize) -> Table {
-    use agentrack_sim::{ChaosConfig, SimDuration};
-    let agents = fidelity.scale_agents(200);
-    let (warmup, measure) = fidelity.spans();
-    let mut table = Table::new(
-        "E13: locate success and tail latency under randomized faults",
-        &[
-            "intensity",
-            "scheme",
-            "issued",
-            "completed",
-            "success_pct",
-            "p95_ms",
-            "mail_lost",
-            "violations",
-        ],
-    );
-    let cells: Vec<Cell> = [0.0f64, 0.3, 0.6, 1.0]
-        .into_iter()
-        .flat_map(|intensity| {
-            ["hashed", "centralized", "home-registry", "forwarding"]
-                .into_iter()
-                .map(move |kind| {
-                    Box::new(move || {
-                        let mut scenario = Scenario::new(format!("chaos-{kind}-{intensity}"))
-                            .with_agents(agents)
-                            .with_residence_ms(400)
-                            .with_queries(fidelity.queries())
-                            .with_seconds(warmup, measure);
-                        if intensity > 0.0 {
-                            scenario.faults = ChaosConfig {
-                                seed: 0xC4A0_5EED,
-                                intensity,
-                            }
-                            .generate(scenario.nodes, scenario.duration());
-                        }
-                        // The audit lets stale hash-function copies
-                        // converge after heal, making the strict version
-                        // check sound for the hashed scheme.
-                        let config = patient(LocationConfig::default())
-                            .with_version_audit(SimDuration::from_secs(1));
-                        let (report, invariants) =
-                            run_chaos_scheme(&scenario, kind, config, kind == "hashed");
-                        let success = if report.locates_issued == 0 {
-                            100.0
-                        } else {
-                            100.0 * report.locates_completed as f64 / report.locates_issued as f64
-                        };
-                        vec![
-                            format!("{intensity:.1}"),
-                            kind.to_owned(),
-                            report.locates_issued.to_string(),
-                            report.locates_completed.to_string(),
-                            format!("{success:.1}"),
-                            ms(report.p95_locate_ms),
-                            report.mail_lost.to_string(),
-                            invariants.violations.len().to_string(),
-                        ]
-                    }) as Cell
-                })
-        })
-        .collect();
-    table.rows = run_cells(cells, jobs);
-    table
-}
-
-fn run_chaos_scheme(
-    scenario: &Scenario,
-    kind: &str,
-    config: LocationConfig,
-    strict_versions: bool,
-) -> (ScenarioReport, agentrack_workload::InvariantReport) {
-    let mut scheme = boxed_scheme(kind, config, false);
-    let out = scenario.run_with(
-        scheme.as_mut(),
-        RunOptions::new().with_audit(AuditOptions { strict_versions }),
-    );
-    (out.report, out.invariants.expect("audit was requested"))
-}
-
 /// **E14** — critical-path latency attribution: where a locate's
 /// end-to-end time actually goes, for all four schemes, calm and under
 /// chaos. Each cell runs observed (a [`agentrack_sim::TraceSink`] on the
@@ -947,7 +575,10 @@ pub fn attribution(fidelity: Fidelity, jobs: usize) -> (Table, String, String) {
                         let config = patient(LocationConfig::default())
                             .with_version_audit(SimDuration::from_secs(1));
                         let sink = TraceSink::bounded(262_144);
-                        let report = run_observed_scheme(&scenario, kind, config, sink.clone());
+                        let mut scheme = boxed_scheme(kind, config, false);
+                        let report = scenario
+                            .run_with(scheme.as_mut(), RunOptions::new().with_sink(sink.clone()))
+                            .report;
                         let trees: Vec<_> = build_spans(&sink.snapshot())
                             .into_iter()
                             .filter(|t| !t.duration().is_zero())
@@ -991,18 +622,6 @@ pub fn attribution(fidelity: Fidelity, jobs: usize) -> (Table, String, String) {
         .take()
         .expect("calm hashed cell always runs");
     (table, perfetto, folded)
-}
-
-fn run_observed_scheme(
-    scenario: &Scenario,
-    kind: &str,
-    config: LocationConfig,
-    sink: agentrack_sim::TraceSink,
-) -> ScenarioReport {
-    let mut scheme = boxed_scheme(kind, config, false);
-    scenario
-        .run_with(scheme.as_mut(), RunOptions::new().with_sink(sink))
-        .report
 }
 
 /// **E15** — record durability and recovery: two nodes crash with
@@ -1152,112 +771,6 @@ pub fn recovery(fidelity: Fidelity, jobs: usize) -> Table {
     table
 }
 
-/// **E17** — flash-crowd adaptation: a 100× query-rate spike hits shortly
-/// after the measured window opens, and the directory must scale out fast
-/// enough to absorb it. The sweep crosses the rehash pipeline width —
-/// `rehash_concurrency = 1` is the single-flight ablation, the paper's
-/// serial protocol — and reports:
-///
-/// * `reconverge_ms` — time from spike start to the *last* committed
-///   split: how long the scale-out cascade takes to finish. The serial
-///   pipeline commits one rehash per commit-plus-cooldown period, so its
-///   cascade is still running when the spike ends; the pipelined arms
-///   split every overloaded subtree concurrently and converge early.
-/// * `p99_ms` — the locate tail the spike creates while trackers are
-///   saturated (the longer the scale-out, the deeper the queues).
-/// * `denied` — rehash requests bounced (`Busy`/`Cooldown`): the denial
-///   traffic the serial pipeline generates by serialising disjoint work.
-///
-/// Every cell runs the post-quiesce invariant audit (locatability,
-/// strict version convergence under a 1 s audit, single ownership).
-#[must_use]
-pub fn rehash_spike(fidelity: Fidelity, jobs: usize) -> Table {
-    use agentrack_sim::{SimTime, TraceEvent, TraceSink};
-    use agentrack_workload::QuerySpike;
-
-    let agents = fidelity.scale_agents(300);
-    let (warmup, measure) = fidelity.spans();
-    let mut table = Table::new(
-        "E17: 100x flash-crowd spike vs. rehash pipeline width",
-        &[
-            "concurrency",
-            "splits",
-            "merges",
-            "denied",
-            "reconverge_ms",
-            "p50_ms",
-            "p99_ms",
-            "success_pct",
-            "peak_trackers",
-            "violations",
-        ],
-    );
-    let cells: Vec<Cell> = [1usize, 2, 4, 8]
-        .into_iter()
-        .map(|concurrency| {
-            Box::new(move || {
-                let mut scenario = Scenario::new(format!("rehash-spike-c{concurrency}"))
-                    .with_agents(agents)
-                    .with_residence_ms(400)
-                    .with_queries(fidelity.queries())
-                    .with_seconds(warmup, measure);
-                // 100× the steady query rate, sustained for a fifth of the
-                // measurement span: the same per-second rate would take the
-                // whole span to issue 20× the steady budget.
-                let spike_at = scenario.warmup + scenario.measure.mul_f64(0.2);
-                let spike_span = scenario.measure.mul_f64(0.2);
-                let spike = QuerySpike {
-                    at: spike_at,
-                    span: spike_span,
-                    queries: scenario.queries_total * 20,
-                    queriers: 64,
-                };
-                scenario = scenario.with_spike(spike);
-                let config = patient(LocationConfig::default())
-                    .with_rehash_concurrency(concurrency)
-                    .with_version_audit(agentrack_sim::SimDuration::from_secs(1));
-                let sink = TraceSink::bounded(1_048_576);
-                let mut scheme = HashedScheme::new(config);
-                let out = scenario.run_with(
-                    &mut scheme,
-                    RunOptions::new()
-                        .with_sink(sink.clone())
-                        .with_audit(AuditOptions {
-                            strict_versions: true,
-                        }),
-                );
-                let (report, invariants) =
-                    (out.report, out.invariants.expect("audit was requested"));
-                let denied = scheme.stats().rehash_denied;
-                let spike_start = SimTime::ZERO + spike_at;
-                let reconverge = sink
-                    .snapshot()
-                    .iter()
-                    .filter(|r| {
-                        matches!(r.event, TraceEvent::RehashSplit { .. }) && r.at >= spike_start
-                    })
-                    .map(|r| r.at)
-                    .max()
-                    .map(|at| at.saturating_since(spike_start).as_millis_f64());
-                vec![
-                    concurrency.to_string(),
-                    report.splits.to_string(),
-                    report.merges.to_string(),
-                    denied.to_string(),
-                    reconverge.map_or_else(|| "dnf".to_owned(), ms),
-                    ms(report.p50_locate_ms),
-                    ms(report.p99_locate_ms),
-                    format!("{:.1}", 100.0 * report.completion_ratio()),
-                    report.peak_trackers.to_string(),
-                    invariants.violations.len().to_string(),
-                ]
-            }) as Cell
-        })
-        .collect();
-    table.rows = run_cells(cells, jobs);
-    table
-}
-
 /// All experiment names accepted by the `repro` binary, in order.
 pub const EXPERIMENTS: &[&str] = &[
     "exp1",
@@ -1278,31 +791,87 @@ pub const EXPERIMENTS: &[&str] = &[
     "rehash-spike",
 ];
 
-/// Dispatches an experiment by name.
+/// Pairs each name with the committed `specs/<name>.json`, embedded at
+/// build time.
+macro_rules! spec_experiments {
+    ($($name:literal),* $(,)?) => {
+        &[$(($name, include_str!(concat!("../../../specs/", $name, ".json")))),*]
+    };
+}
+
+/// The experiments that run from a committed spec file through
+/// [`run_spec`], by name. Each spec's `name` is the experiment's name, so
+/// `repro`, `scenario_lab`, `results/<name>.csv` and
+/// `tests/golden/<name>.quick.csv` all agree.
+const SPEC_EXPERIMENTS: &[(&str, &str)] = spec_experiments![
+    "exp1",
+    "exp2",
+    "ablation-split",
+    "ablation-propagation",
+    "sweep-thresholds",
+    "ablation-planning",
+    "chaos",
+    "rehash-spike",
+];
+
+/// Everything one experiment produces.
+#[derive(Debug, Clone)]
+pub struct ExperimentOutput {
+    /// The result table, written as `<name>.csv`.
+    pub table: Table,
+    /// Extra exports as `(file name, contents)`: the trackers registry
+    /// JSON, the attribution Perfetto trace and folded stacks.
+    pub files: Vec<(String, String)>,
+    /// Invariant violations found by the post-quiesce audits of a
+    /// spec-driven experiment (which audits every trial); zero for the
+    /// hand-coded ones.
+    pub violations: usize,
+}
+
+/// Runs an experiment by name: from its committed spec when it has one,
+/// otherwise from its hand-coded grid.
 ///
 /// # Panics
 ///
 /// Panics if the name is unknown (the binary validates first).
 #[must_use]
-pub fn run_experiment(name: &str, fidelity: Fidelity, jobs: usize) -> Table {
-    match name {
-        "exp1" => exp1(fidelity, jobs),
-        "exp2" => exp2(fidelity, jobs),
-        "ablation-split" => ablation_split(fidelity, jobs),
-        "ablation-propagation" => ablation_propagation(fidelity, jobs),
-        "sweep-thresholds" => sweep_thresholds(fidelity, jobs),
-        "skew" => skew(fidelity, jobs),
-        "baselines" => baselines(fidelity, jobs),
-        "churn" => churn(fidelity, jobs),
-        "locality" => locality(fidelity, jobs),
-        "ablation-planning" => ablation_planning(fidelity, jobs),
-        "delivery" => delivery(fidelity, jobs),
-        "trackers" => trackers_registry(fidelity).0,
-        "chaos" => chaos(fidelity, jobs),
-        "attribution" => attribution(fidelity, jobs).0,
-        "recovery" => recovery(fidelity, jobs),
-        "rehash-spike" => rehash_spike(fidelity, jobs),
+pub fn run_experiment(name: &str, fidelity: Fidelity, jobs: usize) -> ExperimentOutput {
+    if let Some((_, source)) = SPEC_EXPERIMENTS.iter().find(|(n, _)| *n == name) {
+        let spec = ScenarioSpec::load_str(source).expect("committed specs are valid");
+        let outcome = run_spec(&spec, fidelity, jobs);
+        return ExperimentOutput {
+            violations: outcome.violations(),
+            table: outcome.table,
+            files: Vec::new(),
+        };
+    }
+    let (table, files) = match name {
+        "skew" => (skew(fidelity, jobs), Vec::new()),
+        "baselines" => (baselines(fidelity, jobs), Vec::new()),
+        "churn" => (churn(fidelity, jobs), Vec::new()),
+        "locality" => (locality(fidelity, jobs), Vec::new()),
+        "delivery" => (delivery(fidelity, jobs), Vec::new()),
+        "trackers" => {
+            let (table, json) = trackers_registry(fidelity);
+            (table, vec![("trackers.json".to_owned(), json)])
+        }
+        "attribution" => {
+            let (table, perfetto, folded) = attribution(fidelity, jobs);
+            (
+                table,
+                vec![
+                    ("attribution.perfetto.json".to_owned(), perfetto),
+                    ("attribution.folded".to_owned(), folded),
+                ],
+            )
+        }
+        "recovery" => (recovery(fidelity, jobs), Vec::new()),
         other => panic!("unknown experiment {other}"),
+    };
+    ExperimentOutput {
+        table,
+        files,
+        violations: 0,
     }
 }
 
@@ -1518,6 +1087,18 @@ mod tests {
         assert!(rendered.contains("== demo =="));
         assert!(rendered.contains("a  bb"));
         assert_eq!(t.to_csv(), "a,bb\n1,2\n");
+    }
+
+    #[test]
+    fn spec_experiments_are_listed_and_named_alike() {
+        for (name, source) in SPEC_EXPERIMENTS {
+            assert!(
+                EXPERIMENTS.contains(name),
+                "{name} is not a repro experiment"
+            );
+            let spec = ScenarioSpec::load_str(source).expect("committed specs are valid");
+            assert_eq!(&spec.name, name, "spec name differs from its experiment");
+        }
     }
 
     #[test]

@@ -112,6 +112,16 @@ impl SpecOutcome {
     pub fn trials_json(&self) -> String {
         serde_json::to_string(&self.trials).expect("trial serialization cannot fail")
     }
+
+    /// Invariant violations found by the trials' post-quiesce audits.
+    #[must_use]
+    pub fn violations(&self) -> usize {
+        self.trials
+            .iter()
+            .filter_map(|t| t.invariants.as_ref())
+            .map(|i| i.violations.len())
+            .sum()
+    }
 }
 
 /// Runs every trial of a validated spec and folds the outcomes into the
@@ -279,8 +289,8 @@ fn run_trial(
         });
     }
 
-    // Spikes: timed against the resolved spans, exactly as E17 computes
-    // its flash crowd from `scenario.warmup`/`scenario.measure`.
+    // Spikes: timed against the resolved spans, so quick and full
+    // fidelity place them at the same fraction of the measured window.
     let mut first_spike_at: Option<SimDuration> = None;
     for s in spec.spikes.iter().flatten() {
         let at = scenario.warmup + scenario.measure.mul_f64(s.at_frac);

@@ -351,6 +351,19 @@ impl SimPlatform {
         })
     }
 
+    /// The longest queueing delay a message arriving now would face at
+    /// any agent's service station: zero once every handler has worked
+    /// off its backlog.
+    #[must_use]
+    pub fn max_backlog(&self) -> SimDuration {
+        let now = self.now();
+        self.agents
+            .values()
+            .map(|slot| slot.station.backlog(now))
+            .max()
+            .unwrap_or(SimDuration::ZERO)
+    }
+
     /// `true` if the agent exists and is active at a node.
     #[must_use]
     pub fn is_active(&self, id: AgentId) -> bool {

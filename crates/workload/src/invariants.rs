@@ -32,12 +32,18 @@
 //! stranded on a node that never restarts) are narrowed to the reachable
 //! population rather than skipped wholesale.
 //!
-//! The audit first freezes directory adaptation
-//! ([`LocationScheme::set_adaptation_frozen`]): a post-spike merge cascade
-//! can still be committing versions while the probe runs, and sampling
-//! versions mid-install would report a convergence failure that is really
-//! an in-flight broadcast. In-flight leases still commit (bounded by the
-//! lease timeout, inside the probe window); only new grants stop.
+//! "Quiesce" means the workload has stopped. The audit first freezes
+//! directory adaptation ([`LocationScheme::set_adaptation_frozen`]): a
+//! post-spike merge cascade can still be committing versions while the
+//! probe runs, and sampling versions mid-install would report a
+//! convergence failure that is really an in-flight broadcast. In-flight
+//! leases still commit (bounded by the lease timeout, inside the probe
+//! window); only new grants stop. It then freezes the TAgents (no more
+//! moves, no more churn) and lets the simulation run until every
+//! tracker has worked off its queue. A saturated tracker — the
+//! centralized baseline at the paper's largest population — holds every
+//! record but answers from a backlog that is minutes deep; probing it
+//! before it drains would report correct records as unlocatable.
 
 use std::sync::Arc;
 
@@ -47,6 +53,7 @@ use agentrack_sim::SimDuration;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
+use crate::population::Population;
 use crate::scenario::{Scenario, ScenarioReport};
 
 /// Pace between probe locates: fast enough to keep the audit short, slow
@@ -56,6 +63,15 @@ const PROBE_PACE: SimDuration = SimDuration::from_millis(50);
 /// Extra run time after the last probe is issued, covering a full retry
 /// budget (8 attempts x 800 ms) with headroom.
 const PROBE_SLACK: SimDuration = SimDuration::from_secs(8);
+
+/// Step of the pre-probe drain: the audit checks for leftover backlog
+/// once per simulated second.
+const DRAIN_STEP: SimDuration = SimDuration::from_secs(1);
+
+/// Longest the pre-probe drain waits for the trackers to empty their
+/// queues; a backlog still standing after this is left for the probes
+/// to report.
+const DRAIN_CAP: SimDuration = SimDuration::from_secs(600);
 
 /// Outcome of the post-quiesce audit of one chaos run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -197,6 +213,7 @@ pub(crate) fn check(
     scheme: &mut dyn LocationScheme,
     platform: &mut SimPlatform,
     tagents: &[AgentId],
+    population: &Population,
     report: &ScenarioReport,
     strict_versions: bool,
 ) -> InvariantReport {
@@ -209,6 +226,14 @@ pub(crate) fn check(
     // instead of racing a cascade that is still adapting to post-fault
     // load.
     scheme.set_adaptation_frozen(true);
+
+    // Stop the workload and let the trackers catch up: the probes would
+    // otherwise queue behind every Update and retry still in flight.
+    population.freeze();
+    let drain_until = platform.now() + DRAIN_CAP;
+    while !platform.max_backlog().is_zero() && platform.now() < drain_until {
+        platform.run_for(DRAIN_STEP);
+    }
 
     // The audited population: agents still alive (churn may have replaced
     // some) on nodes that are up. With a fully-healing plan that is every

@@ -52,15 +52,16 @@ impl Population {
         self.roster.lock().unwrap().is_empty()
     }
 
-    /// Stops churn: lifecycle death timers become no-ops, pinning the
-    /// roster. The post-quiesce invariant audit freezes the population
-    /// (alongside the scheme's adaptation) so its locate probes race
-    /// neither deaths nor births.
+    /// Stops churn and mobility: lifecycle death timers become no-ops,
+    /// pinning the roster, and TAgents stop roaming. The post-quiesce
+    /// invariant audit freezes the population (alongside the scheme's
+    /// adaptation) so its locate probes race neither deaths, births nor
+    /// moves, and the trackers can drain.
     pub fn freeze(&self) {
         self.frozen.store(true, Ordering::Relaxed);
     }
 
-    /// Whether churn is frozen.
+    /// Whether churn and mobility are frozen.
     #[must_use]
     pub fn is_frozen(&self) -> bool {
         self.frozen.load(Ordering::Relaxed)

@@ -77,6 +77,7 @@ pub struct TAgentBehavior {
     residence_timer: Option<TimerId>,
     lifecycle: Option<Lifecycle>,
     death_timer: Option<TimerId>,
+    freeze: Option<Population>,
 }
 
 impl TAgentBehavior {
@@ -98,15 +99,31 @@ impl TAgentBehavior {
             residence_timer: None,
             lifecycle: None,
             death_timer: None,
+            freeze: None,
         }
     }
 
+    /// Stops the agent roaming once `population` is frozen (the
+    /// post-quiesce audit): it finishes a migration already under way,
+    /// reports the arrival, and stays put from then on.
+    #[must_use]
+    pub fn with_freeze(mut self, population: Population) -> Self {
+        self.freeze = Some(population);
+        self
+    }
+
     /// Gives the TAgent a finite lifespan; it will deregister, die, and
-    /// spawn a successor.
+    /// spawn a successor. Freezing the roster freezes the agent too
+    /// (see [`TAgentBehavior::with_freeze`]).
     #[must_use]
     pub fn with_lifecycle(mut self, lifecycle: Lifecycle) -> Self {
+        self.freeze = Some(lifecycle.population.clone());
         self.lifecycle = Some(lifecycle);
         self
+    }
+
+    fn frozen(&self) -> bool {
+        self.freeze.as_ref().is_some_and(Population::is_frozen)
     }
 
     /// Dies: deregister, leave the roster, spawn the successor, dispose.
@@ -131,6 +148,9 @@ impl TAgentBehavior {
     }
 
     fn schedule_move(&mut self, ctx: &mut AgentCtx<'_>) {
+        if self.frozen() {
+            return;
+        }
         let stay = ctx.rng().sample(&self.residence);
         self.residence_timer = Some(ctx.set_timer(stay));
     }
@@ -171,17 +191,16 @@ impl Agent for TAgentBehavior {
         if self.death_timer == Some(timer) {
             // A frozen population (the post-quiesce audit) suspends churn:
             // the deadline lapses and the agent lives on.
-            let frozen = self
-                .lifecycle
-                .as_ref()
-                .is_some_and(|l| l.population.is_frozen());
-            if !frozen {
+            if !self.frozen() {
                 self.die(ctx);
             }
             return;
         }
         if self.residence_timer == Some(timer) {
             self.residence_timer = None;
+            if self.frozen() {
+                return;
+            }
             let next = self.selector.pick(ctx, self.node_count);
             if next == ctx.node() {
                 // Staying put still restarts the residence clock.

@@ -6,11 +6,8 @@
 //! `EXPERIMENTS.md` and regenerate with `cargo run -p agentrack-bench
 //! --bin repro --release`.
 
-// The legacy `run*` entry points are deprecated shims over `Scenario::run_with`;
-// these tests deliberately keep exercising them until the shims are removed.
-#![allow(deprecated)]
 use agentrack::core::{CentralizedScheme, HashedScheme, LocationConfig};
-use agentrack::workload::Scenario;
+use agentrack::workload::{RunOptions, Scenario};
 
 fn scenario(agents: usize, residence_ms: u64) -> Scenario {
     Scenario::new(format!("shape-{agents}-{residence_ms}"))
@@ -20,8 +17,9 @@ fn scenario(agents: usize, residence_ms: u64) -> Scenario {
         .with_seconds(12.0, 6.0)
 }
 
-fn run_hashed(s: &Scenario) -> agentrack::workload::ScenarioReport {
-    s.run(&mut HashedScheme::new(LocationConfig::default()))
+fn run_hashed(s: &Scenario, config: LocationConfig) -> agentrack::workload::ScenarioReport {
+    s.run_with(&mut HashedScheme::new(config), RunOptions::new())
+        .report
 }
 
 fn run_centralized(s: &Scenario) -> agentrack::workload::ScenarioReport {
@@ -29,7 +27,8 @@ fn run_centralized(s: &Scenario) -> agentrack::workload::ScenarioReport {
         max_locate_attempts: 20,
         ..LocationConfig::default()
     };
-    s.run(&mut CentralizedScheme::new(config))
+    s.run_with(&mut CentralizedScheme::new(config), RunOptions::new())
+        .report
 }
 
 /// Figure 7's shape: growing the population degrades the centralized
@@ -50,8 +49,8 @@ fn population_growth_hurts_centralized_not_hashed() {
         cen_heavy.mean_locate_ms
     );
 
-    let hash_light = run_hashed(&light);
-    let hash_heavy = run_hashed(&heavy);
+    let hash_light = run_hashed(&light, LocationConfig::default());
+    let hash_heavy = run_hashed(&heavy, LocationConfig::default());
     assert!(
         hash_heavy.mean_locate_ms < hash_light.mean_locate_ms * 2.0,
         "hashed must stay near-constant: {:.2} -> {:.2} ms",
@@ -82,8 +81,8 @@ fn mobility_growth_hurts_centralized_not_hashed() {
         cen_fast.mean_locate_ms
     );
 
-    let hash_slow = run_hashed(&slow);
-    let hash_fast = run_hashed(&fast);
+    let hash_slow = run_hashed(&slow, LocationConfig::default());
+    let hash_fast = run_hashed(&fast, LocationConfig::default());
     assert!(
         hash_fast.mean_locate_ms < hash_slow.mean_locate_ms * 2.0,
         "hashed must stay near-constant: {:.2} -> {:.2} ms",
@@ -99,10 +98,8 @@ fn mobility_growth_hurts_centralized_not_hashed() {
 #[test]
 fn complex_splits_shorten_prefixes() {
     let s = scenario(250, 150);
-    let complex = s.run(&mut HashedScheme::new(LocationConfig::default()));
-    let simple = s.run(&mut HashedScheme::new(
-        LocationConfig::default().simple_splits_only(),
-    ));
+    let complex = run_hashed(&s, LocationConfig::default());
+    let simple = run_hashed(&s, LocationConfig::default().simple_splits_only());
     // Merges create multi-bit labels; complex splits reuse those bits,
     // simple-only splitting keeps extending the prefix instead.
     assert!(
@@ -118,14 +115,12 @@ fn complex_splits_shorten_prefixes() {
 #[test]
 fn lazy_propagation_repairs_staleness_on_demand() {
     let s = scenario(200, 200);
-    let lazy = s.run(&mut HashedScheme::new(LocationConfig::default()));
+    let lazy = run_hashed(&s, LocationConfig::default());
     assert!(lazy.stale_hits > 0);
     assert!(lazy.hf_fetches > 0);
     assert_eq!(lazy.locate_failures, 0);
 
-    let eager = s.run(&mut HashedScheme::new(
-        LocationConfig::default().with_eager_propagation(),
-    ));
+    let eager = run_hashed(&s, LocationConfig::default().with_eager_propagation());
     assert!(
         eager.stale_hits < lazy.stale_hits,
         "eager push must reduce stale hits: {} vs {}",

@@ -4,9 +4,6 @@
 //! and the locate answer-vs-timeout race (a stale retry timer must not
 //! burn budget for a completed locate).
 
-// The legacy `run*` entry points are deprecated shims over `Scenario::run_with`;
-// these tests deliberately keep exercising them until the shims are removed.
-#![allow(deprecated)]
 use agentrack::core::{CentralizedScheme, DirectoryClient, HashedScheme, LocationConfig};
 use agentrack::platform::{
     Agent, AgentCtx, AgentId, NodeId, Payload, PlatformConfig, SimPlatform, TimerId,
@@ -15,7 +12,10 @@ use agentrack::sim::{
     DurationDist, FaultEvent, FaultKind, FaultPlan, SimDuration, SimTime, Topology, TraceEvent,
     TraceSink,
 };
-use agentrack::workload::{Metrics, QuerierBehavior, Scenario, TargetSelector, Targets};
+use agentrack::workload::{
+    AuditOptions, InvariantReport, Metrics, QuerierBehavior, RunOptions, Scenario, ScenarioReport,
+    TargetSelector, Targets,
+};
 
 /// Crashes `nodes` at `at` with soft-state loss, restarting each 500 ms
 /// later.
@@ -38,6 +38,22 @@ fn replicated_config() -> LocationConfig {
     LocationConfig::default()
         .with_version_audit(SimDuration::from_secs(1))
         .with_replication(SimDuration::from_millis(250))
+}
+
+/// Runs `scenario` traced into `sink`, then audits it with strict
+/// version convergence.
+fn run_audited(
+    scenario: &Scenario,
+    scheme: &mut HashedScheme,
+    sink: TraceSink,
+) -> (ScenarioReport, InvariantReport) {
+    let out = scenario.run_with(
+        scheme,
+        RunOptions::new().with_sink(sink).with_audit(AuditOptions {
+            strict_versions: true,
+        }),
+    );
+    (out.report, out.invariants.expect("audit was requested"))
 }
 
 fn recovery_scenario(seed: u64) -> Scenario {
@@ -63,7 +79,7 @@ fn replicated_hashed_recovers_from_double_tracker_crash() {
     let scenario = recovery_scenario(11);
     let sink = TraceSink::bounded(500_000);
     let mut scheme = HashedScheme::new(replicated_config()).with_standby();
-    let (report, invariants) = scenario.run_chaos_traced(&mut scheme, true, sink.clone());
+    let (report, invariants) = run_audited(&scenario, &mut scheme, sink.clone());
     assert!(
         invariants.ok(),
         "invariant violations after recovery: {:?}",
@@ -102,7 +118,7 @@ fn replicated_recovery_replays_the_identical_trace() {
         let scenario = recovery_scenario(23);
         let sink = TraceSink::bounded(500_000);
         let mut scheme = HashedScheme::new(replicated_config()).with_standby();
-        let _ = scenario.run_chaos_traced(&mut scheme, true, sink.clone());
+        let _ = run_audited(&scenario, &mut scheme, sink.clone());
         assert_eq!(sink.dropped(), 0, "trace buffer overflowed; raise the cap");
         runs.push(sink.snapshot());
     }
@@ -134,7 +150,7 @@ fn no_stale_answers_after_replica_reconvergence() {
     let mut scenario = recovery_scenario(31);
     scenario = scenario.with_freshness(agentrack::core::Freshness::BoundedMs(2000));
     let mut scheme = HashedScheme::new(replicated_config()).with_standby();
-    let (_, invariants) = scenario.run_chaos(&mut scheme, true);
+    let (_, invariants) = run_audited(&scenario, &mut scheme, TraceSink::disabled());
     assert!(
         invariants.ok(),
         "invariant violations after recovery: {:?}",

@@ -1,10 +1,12 @@
-//! Golden-file tests for the spec-only workloads (E18a–E18d).
+//! Golden-file tests for the spec-driven experiments: the paper's E1 and
+//! E2, the ablations and sweeps that `repro` runs from `specs/` (E3–E5,
+//! E10, E13, E17) and the spec-only workloads (E18a–E18d).
 //!
 //! Each committed CSV under `tests/golden/` is the quick-fidelity table
-//! of one spec in `specs/`. The simulation is deterministic and none of
-//! these tables report wall-clock fields (the only non-deterministic
-//! trial field, `wall_ms`, lives in the trials JSON and is bounded
-//! separately below), so the comparison is exact. A diff here means the
+//! of one spec in `specs/`, under the spec's own name. The simulation is
+//! deterministic and none of these tables report wall-clock fields (the
+//! only non-deterministic trial field, `wall_ms`, lives in the trials
+//! JSON and is bounded separately below), so the comparison is exact. A diff here means the
 //! spec, the runner, or the protocol changed behaviour — regenerate
 //! with `scenario_lab --quick` only after deciding the change is
 //! intended.
@@ -52,22 +54,29 @@ fn check_golden(name: &str) {
     }
 }
 
-#[test]
-fn golden_diurnal() {
-    check_golden("diurnal");
+/// One `#[test]` per golden table.
+macro_rules! goldens {
+    ($($test:ident => $name:literal),* $(,)?) => {
+        $(
+            #[test]
+            fn $test() {
+                check_golden($name);
+            }
+        )*
+    };
 }
 
-#[test]
-fn golden_flash_crowd() {
-    check_golden("flash_crowd");
-}
-
-#[test]
-fn golden_regional_partition() {
-    check_golden("regional_partition");
-}
-
-#[test]
-fn golden_hot_key_churn() {
-    check_golden("hot_key_churn");
+goldens! {
+    golden_diurnal => "diurnal",
+    golden_flash_crowd => "flash_crowd",
+    golden_regional_partition => "regional_partition",
+    golden_hot_key_churn => "hot_key_churn",
+    golden_exp1 => "exp1",
+    golden_exp2 => "exp2",
+    golden_ablation_split => "ablation-split",
+    golden_ablation_propagation => "ablation-propagation",
+    golden_sweep_thresholds => "sweep-thresholds",
+    golden_ablation_planning => "ablation-planning",
+    golden_chaos => "chaos",
+    golden_rehash_spike => "rehash-spike",
 }
