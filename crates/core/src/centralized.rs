@@ -13,15 +13,15 @@
 use std::collections::HashMap;
 
 use agentrack_platform::{Agent, AgentCtx, AgentId, NodeId, Payload, Spawner, TimerId};
-use agentrack_sim::{CorrId, GiveUpCause, MetricsRegistry, TraceEvent};
+use agentrack_sim::{MetricsRegistry, TraceEvent};
 
 use crate::config::LocationConfig;
 use crate::mailbox::Mailbox;
-use crate::retry::{LocateTracker, Retry};
+use crate::retry::{Attempt, LocateTracker};
 use crate::scheme::{
     ClientEvent, ClientFactory, DirectoryClient, LocationScheme, SchemeStats, SharedSchemeStats,
 };
-use crate::wire::Wire;
+use crate::wire::{send_traced, trace_recv, Freshness, Wire};
 
 /// Behaviour of the single central tracker.
 #[derive(Debug, Default)]
@@ -182,18 +182,7 @@ impl Agent for CentralBehavior {
         let Some(msg) = Wire::from_payload(payload) else {
             return;
         };
-        {
-            let me = ctx.self_id();
-            let here = ctx.node();
-            let queued = ctx.queued();
-            ctx.trace().emit(ctx.now(), || TraceEvent::MessageRecv {
-                kind: msg.kind(),
-                corr: msg.corr(),
-                by: me.raw(),
-                node: here,
-                queued,
-            });
-        }
+        trace_recv(ctx, &msg);
         self.requests_seen += 1;
         match msg {
             Wire::Register { agent, node } => {
@@ -245,16 +234,7 @@ impl Agent for CentralBehavior {
                         corr,
                     },
                 };
-                let me = ctx.self_id();
-                let here = ctx.node();
-                ctx.trace().emit(ctx.now(), || TraceEvent::MessageSend {
-                    kind: answer.kind(),
-                    corr: answer.corr(),
-                    from: me.raw(),
-                    to: from.raw(),
-                    node: here,
-                });
-                ctx.send(from, reply_node, answer.payload());
+                send_traced(ctx, from, reply_node, &answer);
             }
             _ => {}
         }
@@ -329,8 +309,7 @@ pub struct CentralizedClient {
     config: LocationConfig,
     central: (AgentId, NodeId),
     registered: bool,
-    tracker: LocateTracker,
-    registry: MetricsRegistry,
+    locates: LocateTracker,
 }
 
 impl CentralizedClient {
@@ -338,11 +317,10 @@ impl CentralizedClient {
     #[must_use]
     pub fn new(config: LocationConfig, central: (AgentId, NodeId)) -> Self {
         CentralizedClient {
+            locates: LocateTracker::new(&config, MetricsRegistry::new()),
             config,
             central,
             registered: false,
-            tracker: LocateTracker::new(),
-            registry: MetricsRegistry::new(),
         }
     }
 
@@ -350,94 +328,22 @@ impl CentralizedClient {
     /// shared one) instead of a detached default.
     #[must_use]
     pub fn with_registry(mut self, registry: MetricsRegistry) -> Self {
-        self.registry = registry;
+        self.locates = LocateTracker::new(&self.config, registry);
         self
     }
 
     fn send_central(&self, ctx: &mut AgentCtx<'_>, msg: &Wire) {
         ctx.send(self.central.0, self.central.1, msg.payload());
     }
+}
 
-    fn send_locate(&mut self, ctx: &mut AgentCtx<'_>, target: AgentId, token: u64) {
-        let here = ctx.node();
-        let me = ctx.self_id();
-        let msg = Wire::Locate {
-            target,
-            token,
-            reply_node: here,
-            corr: Some(CorrId::new(me.raw(), token)),
-            freshness: self.tracker.freshness(token).unwrap_or_default(),
-        };
-        ctx.trace().emit(ctx.now(), || TraceEvent::MessageSend {
-            kind: msg.kind(),
-            corr: msg.corr(),
-            from: me.raw(),
-            to: self.central.0.raw(),
-            node: here,
-        });
-        self.send_central(ctx, &msg);
-        self.tracker
-            .note_tracker(token, self.central.0.raw(), self.central.1);
-        self.tracker
-            .arm_timer(ctx, self.config.locate_retry_timeout, token);
-    }
-
-    fn act(&mut self, ctx: &mut AgentCtx<'_>, decision: Retry) -> ClientEvent {
-        let me = ctx.self_id();
-        match decision {
-            Retry::Again { token, target } => {
-                let attempt = self.tracker.attempts(token).unwrap_or(0);
-                ctx.trace().emit(ctx.now(), || TraceEvent::RetryAttempt {
-                    corr: Some(CorrId::new(me.raw(), token)),
-                    client: me.raw(),
-                    target: target.raw(),
-                    attempt,
-                });
-                self.send_locate(ctx, target, token);
-                ClientEvent::Consumed
-            }
-            Retry::GiveUp {
-                token,
-                target,
-                cause,
-                tracker,
-                tracker_node,
-            } => {
-                ctx.trace().emit(ctx.now(), || TraceEvent::RetryGiveUp {
-                    corr: Some(CorrId::new(me.raw(), token)),
-                    client: me.raw(),
-                    target: target.raw(),
-                    attempts: self.config.max_locate_attempts,
-                    cause,
-                });
-                if let Some(tracker) = tracker {
-                    let remote = tracker_node.is_some_and(|n| n != ctx.node());
-                    self.registry.update_tracker(tracker, |t| match cause {
-                        GiveUpCause::Timeout => {
-                            t.giveup_timeout += 1;
-                            if remote {
-                                t.giveup_timeout_remote += 1;
-                            }
-                        }
-                        GiveUpCause::Negative => {
-                            t.giveup_negative += 1;
-                            if remote {
-                                t.giveup_negative_remote += 1;
-                            }
-                        }
-                    });
-                }
-                ClientEvent::Failed { token, target }
-            }
-            Retry::Nothing => ClientEvent::Consumed,
-        }
-    }
-
-    fn retry_locate(&mut self, ctx: &mut AgentCtx<'_>, token: u64) -> ClientEvent {
-        let decision = self
-            .tracker
-            .on_negative(token, self.config.max_locate_attempts);
-        self.act(ctx, decision)
+/// Sends one locate attempt to the central tracker.
+fn send_locate(
+    central: (AgentId, NodeId),
+) -> impl FnOnce(&mut AgentCtx<'_>, Attempt) -> Option<(AgentId, NodeId)> {
+    move |ctx, attempt| {
+        send_traced(ctx, central.0, central.1, &attempt.locate(ctx));
+        Some(central)
     }
 }
 
@@ -475,75 +381,42 @@ impl DirectoryClient for CentralizedClient {
         self.send_central(ctx, &Wire::Deregister { agent: me, ttl: 0 });
     }
 
-    fn locate(&mut self, ctx: &mut AgentCtx<'_>, target: AgentId, token: u64) {
-        self.locate_with(ctx, target, token, crate::wire::Freshness::Any);
-    }
-
     fn locate_with(
         &mut self,
         ctx: &mut AgentCtx<'_>,
         target: AgentId,
         token: u64,
-        freshness: crate::wire::Freshness,
+        freshness: Freshness,
     ) {
-        self.tracker.start_with(token, target, ctx.now(), freshness);
-        self.send_locate(ctx, target, token);
+        self.locates
+            .start(ctx, token, target, freshness, send_locate(self.central));
     }
 
     fn on_message(
         &mut self,
-        _ctx: &mut AgentCtx<'_>,
+        ctx: &mut AgentCtx<'_>,
         _from: AgentId,
         payload: &Payload,
     ) -> ClientEvent {
         let Some(msg) = Wire::from_payload(payload) else {
             return ClientEvent::NotMine;
         };
-        {
-            let me = _ctx.self_id();
-            let here = _ctx.node();
-            let queued = _ctx.queued();
-            _ctx.trace().emit(_ctx.now(), || TraceEvent::MessageRecv {
-                kind: msg.kind(),
-                corr: msg.corr(),
-                by: me.raw(),
-                node: here,
-                queued,
-            });
-        }
+        trace_recv(ctx, &msg);
         match msg {
             Wire::RegisterAck { agent } => {
-                if agent == _ctx.self_id() && !self.registered {
+                if agent == ctx.self_id() && !self.registered {
                     self.registered = true;
                     ClientEvent::Registered
                 } else {
                     ClientEvent::Consumed
                 }
             }
-            Wire::Located {
-                target,
-                node,
-                stale,
-                age_ms,
-                token,
-                ..
-            } => {
-                if let Some(started) = self.tracker.complete(token) {
-                    self.registry
-                        .record_locate(_ctx.now().saturating_since(started));
-                    ClientEvent::Located {
-                        token,
-                        target,
-                        node,
-                        stale,
-                        age_ms,
-                    }
-                } else {
-                    ClientEvent::Consumed
-                }
-            }
+            located @ Wire::Located { .. } => self.locates.on_located(ctx, located),
             Wire::MailDrop { from, data } => ClientEvent::Mail { from, data },
-            Wire::NotFound { token, .. } => self.retry_locate(_ctx, token),
+            Wire::NotFound { token, .. } => {
+                self.locates
+                    .on_negative(ctx, token, send_locate(self.central))
+            }
             _ => ClientEvent::NotMine,
         }
     }
@@ -569,13 +442,7 @@ impl DirectoryClient for CentralizedClient {
     }
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, timer: TimerId) -> ClientEvent {
-        match self
-            .tracker
-            .on_timer(timer, self.config.max_locate_attempts)
-        {
-            Some(decision) => self.act(ctx, decision),
-            None => ClientEvent::NotMine,
-        }
+        self.locates.on_timer(ctx, timer, send_locate(self.central))
     }
 
     fn send_via(&mut self, ctx: &mut AgentCtx<'_>, target: AgentId, data: Vec<u8>) -> bool {

@@ -18,14 +18,14 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use agentrack_platform::{Agent, AgentCtx, AgentId, NodeId, Payload, Spawner, TimerId};
-use agentrack_sim::{CorrId, GiveUpCause, MetricsRegistry, TraceEvent};
+use agentrack_sim::MetricsRegistry;
 
 use crate::config::LocationConfig;
-use crate::retry::{LocateTracker, Retry};
+use crate::retry::{Attempt, LocateTracker};
 use crate::scheme::{
     ClientEvent, ClientFactory, DirectoryClient, LocationScheme, SchemeStats, SharedSchemeStats,
 };
-use crate::wire::Wire;
+use crate::wire::{send_traced, trace_recv, trace_send, Freshness, Wire};
 
 /// Longest pointer chain a locate will follow before giving up the
 /// attempt (the client retries from the birth node).
@@ -77,6 +77,9 @@ impl Agent for ForwarderBehavior {
         let Some(msg) = Wire::from_payload(payload) else {
             return;
         };
+        if let Wire::ChainLocate { .. } = msg {
+            trace_recv(ctx, &msg);
+        }
         match msg {
             // "I am here": an agent arrived at this node.
             Wire::Register { agent, node } | Wire::Update { agent, node } => {
@@ -98,56 +101,27 @@ impl Agent for ForwarderBehavior {
                 hops,
                 corr,
             } => {
-                let me = ctx.self_id();
-                {
-                    let here = ctx.node();
-                    let queued = ctx.queued();
-                    ctx.trace().emit(ctx.now(), || TraceEvent::MessageRecv {
-                        kind: "ChainLocate",
-                        corr,
-                        by: me.raw(),
-                        node: here,
-                        queued,
-                    });
-                }
-                match self.pointers.get(&target) {
-                    Some(Pointer::Here) => {
-                        let here = ctx.node();
-                        ctx.trace().emit(ctx.now(), || TraceEvent::MessageSend {
-                            kind: "Located",
+                // A hop goes on to the next forwarder; the walk's end
+                // answers the querier. The forwarder stamps each send's
+                // trace event with the node the message goes to.
+                let (to, node, msg) = match self.pointers.get(&target) {
+                    Some(Pointer::Here) => (
+                        reply_to,
+                        reply_node,
+                        Wire::Located {
+                            target,
+                            node: ctx.node(),
+                            stale: false,
+                            age_ms: 0,
+                            token,
                             corr,
-                            from: me.raw(),
-                            to: reply_to.raw(),
-                            node: reply_node,
-                        });
-                        ctx.send(
-                            reply_to,
-                            reply_node,
-                            Wire::Located {
-                                target,
-                                node: here,
-                                stale: false,
-                                age_ms: 0,
-                                token,
-                                corr,
-                            }
-                            .payload(),
-                        );
-                    }
-                    Some(Pointer::MovedTo(next)) if hops < MAX_CHAIN_HOPS => {
+                        },
+                    ),
+                    Some(&Pointer::MovedTo(next)) if hops < MAX_CHAIN_HOPS => {
                         self.shared.update(|s| s.chain_hops += 1);
-                        let next_fw = self.forwarders[next.index()];
-                        let next_node = *next;
-                        ctx.trace().emit(ctx.now(), || TraceEvent::MessageSend {
-                            kind: "ChainLocate",
-                            corr,
-                            from: me.raw(),
-                            to: next_fw.raw(),
-                            node: next_node,
-                        });
-                        ctx.send(
-                            next_fw,
-                            next_node,
+                        (
+                            self.forwarders[next.index()],
+                            next,
                             Wire::ChainLocate {
                                 target,
                                 token,
@@ -155,30 +129,21 @@ impl Agent for ForwarderBehavior {
                                 reply_node,
                                 hops: hops + 1,
                                 corr,
-                            }
-                            .payload(),
-                        );
+                            },
+                        )
                     }
-                    _ => {
-                        ctx.trace().emit(ctx.now(), || TraceEvent::MessageSend {
-                            kind: "NotFound",
+                    _ => (
+                        reply_to,
+                        reply_node,
+                        Wire::NotFound {
+                            target,
+                            token,
                             corr,
-                            from: me.raw(),
-                            to: reply_to.raw(),
-                            node: reply_node,
-                        });
-                        ctx.send(
-                            reply_to,
-                            reply_node,
-                            Wire::NotFound {
-                                target,
-                                token,
-                                corr,
-                            }
-                            .payload(),
-                        );
-                    }
-                }
+                        },
+                    ),
+                };
+                trace_send(ctx, to, node, &msg);
+                ctx.send(to, node, msg.payload());
             }
             _ => {}
         }
@@ -274,8 +239,7 @@ pub struct ForwardingClient {
     birth: Option<NodeId>,
     prev_node: Option<NodeId>,
     registered: bool,
-    tracker: LocateTracker,
-    registry: MetricsRegistry,
+    locates: LocateTracker,
 }
 
 impl ForwardingClient {
@@ -284,14 +248,13 @@ impl ForwardingClient {
     #[must_use]
     pub fn new(config: LocationConfig, forwarders: Arc<Vec<AgentId>>, names: NameTable) -> Self {
         ForwardingClient {
+            locates: LocateTracker::new(&config, MetricsRegistry::new()),
             config,
             forwarders,
             names,
             birth: None,
             prev_node: None,
             registered: false,
-            tracker: LocateTracker::new(),
-            registry: MetricsRegistry::new(),
         }
     }
 
@@ -299,7 +262,7 @@ impl ForwardingClient {
     /// shared one) instead of a detached default.
     #[must_use]
     pub fn with_registry(mut self, registry: MetricsRegistry) -> Self {
-        self.registry = registry;
+        self.locates = LocateTracker::new(&self.config, registry);
         self
     }
 
@@ -324,91 +287,28 @@ impl ForwardingClient {
         };
         ctx.send(fw, node, msg.payload());
     }
+}
 
-    fn send_locate(&mut self, ctx: &mut AgentCtx<'_>, target: AgentId, token: u64) {
-        let birth = self.names.read().get(&target).copied();
-        if let Some(birth) = birth {
-            let (fw, node) = self.forwarder_at(birth);
-            let me = ctx.self_id();
-            let here = ctx.node();
-            let msg = Wire::ChainLocate {
-                target,
-                token,
-                reply_to: me,
-                reply_node: here,
-                hops: 0,
-                corr: Some(CorrId::new(me.raw(), token)),
-            };
-            ctx.trace().emit(ctx.now(), || TraceEvent::MessageSend {
-                kind: msg.kind(),
-                corr: msg.corr(),
-                from: me.raw(),
-                to: fw.raw(),
-                node: here,
-            });
-            ctx.send(fw, node, msg.payload());
-            self.tracker.note_tracker(token, fw.raw(), node);
-        }
-        self.tracker
-            .arm_timer(ctx, self.config.locate_retry_timeout, token);
-    }
-
-    fn act(&mut self, ctx: &mut AgentCtx<'_>, decision: Retry) -> ClientEvent {
-        let me = ctx.self_id();
-        match decision {
-            Retry::Again { token, target } => {
-                let attempt = self.tracker.attempts(token).unwrap_or(0);
-                ctx.trace().emit(ctx.now(), || TraceEvent::RetryAttempt {
-                    corr: Some(CorrId::new(me.raw(), token)),
-                    client: me.raw(),
-                    target: target.raw(),
-                    attempt,
-                });
-                self.send_locate(ctx, target, token);
-                ClientEvent::Consumed
-            }
-            Retry::GiveUp {
-                token,
-                target,
-                cause,
-                tracker,
-                tracker_node,
-            } => {
-                ctx.trace().emit(ctx.now(), || TraceEvent::RetryGiveUp {
-                    corr: Some(CorrId::new(me.raw(), token)),
-                    client: me.raw(),
-                    target: target.raw(),
-                    attempts: self.config.max_locate_attempts,
-                    cause,
-                });
-                if let Some(tracker) = tracker {
-                    let remote = tracker_node.is_some_and(|n| n != ctx.node());
-                    self.registry.update_tracker(tracker, |t| match cause {
-                        GiveUpCause::Timeout => {
-                            t.giveup_timeout += 1;
-                            if remote {
-                                t.giveup_timeout_remote += 1;
-                            }
-                        }
-                        GiveUpCause::Negative => {
-                            t.giveup_negative += 1;
-                            if remote {
-                                t.giveup_negative_remote += 1;
-                            }
-                        }
-                    });
-                }
-                ClientEvent::Failed { token, target }
-            }
-            Retry::Nothing => ClientEvent::Consumed,
-        }
-    }
-
-    fn retry_locate(&mut self, ctx: &mut AgentCtx<'_>, token: u64) -> ClientEvent {
-        let decision = self
-            .tracker
-            .on_negative(token, self.config.max_locate_attempts);
-        self.act(ctx, decision)
+/// Sends one locate attempt as a chain walk from the target's birth
+/// node's forwarder. An unregistered target has no birth entry yet:
+/// nothing is sent, and the attempt's timeout tries again later.
+fn send_locate<'a>(
+    names: &'a NameTable,
+    forwarders: &'a [AgentId],
+) -> impl FnOnce(&mut AgentCtx<'_>, Attempt) -> Option<(AgentId, NodeId)> + 'a {
+    move |ctx, attempt| {
+        let birth = names.read().get(&attempt.target).copied()?;
+        let fw = forwarders[birth.index()];
+        let msg = Wire::ChainLocate {
+            target: attempt.target,
+            token: attempt.token,
+            reply_to: ctx.self_id(),
+            reply_node: ctx.node(),
+            hops: 0,
+            corr: attempt.corr(ctx),
+        };
+        send_traced(ctx, fw, birth, &msg);
+        Some((fw, birth))
     }
 }
 
@@ -465,21 +365,17 @@ impl DirectoryClient for ForwardingClient {
         self.names.write().remove(&me);
     }
 
-    fn locate(&mut self, ctx: &mut AgentCtx<'_>, target: AgentId, token: u64) {
-        self.locate_with(ctx, target, token, crate::wire::Freshness::Any);
-    }
-
     fn locate_with(
         &mut self,
         ctx: &mut AgentCtx<'_>,
         target: AgentId,
         token: u64,
-        freshness: crate::wire::Freshness,
+        freshness: Freshness,
     ) {
         // A chain walk always ends at the node the target is resident on,
         // so every answer is authoritative (age 0) and any bound holds.
-        self.tracker.start_with(token, target, ctx.now(), freshness);
-        self.send_locate(ctx, target, token);
+        let send = send_locate(&self.names, &self.forwarders);
+        self.locates.start(ctx, token, target, freshness, send);
     }
 
     fn on_message(
@@ -491,18 +387,7 @@ impl DirectoryClient for ForwardingClient {
         let Some(msg) = Wire::from_payload(payload) else {
             return ClientEvent::NotMine;
         };
-        {
-            let me = ctx.self_id();
-            let here = ctx.node();
-            let queued = ctx.queued();
-            ctx.trace().emit(ctx.now(), || TraceEvent::MessageRecv {
-                kind: msg.kind(),
-                corr: msg.corr(),
-                by: me.raw(),
-                node: here,
-                queued,
-            });
-        }
+        trace_recv(ctx, &msg);
         match msg {
             Wire::RegisterAck { agent } => {
                 if agent == ctx.self_id() && !self.registered {
@@ -512,29 +397,11 @@ impl DirectoryClient for ForwardingClient {
                     ClientEvent::Consumed
                 }
             }
-            Wire::Located {
-                target,
-                node,
-                stale,
-                age_ms,
-                token,
-                ..
-            } => {
-                if let Some(started) = self.tracker.complete(token) {
-                    self.registry
-                        .record_locate(ctx.now().saturating_since(started));
-                    ClientEvent::Located {
-                        token,
-                        target,
-                        node,
-                        stale,
-                        age_ms,
-                    }
-                } else {
-                    ClientEvent::Consumed
-                }
+            located @ Wire::Located { .. } => self.locates.on_located(ctx, located),
+            Wire::NotFound { token, .. } => {
+                let send = send_locate(&self.names, &self.forwarders);
+                self.locates.on_negative(ctx, token, send)
             }
-            Wire::NotFound { token, .. } => self.retry_locate(ctx, token),
             _ => ClientEvent::NotMine,
         }
     }
@@ -557,12 +424,7 @@ impl DirectoryClient for ForwardingClient {
     }
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, timer: TimerId) -> ClientEvent {
-        match self
-            .tracker
-            .on_timer(timer, self.config.max_locate_attempts)
-        {
-            Some(decision) => self.act(ctx, decision),
-            None => ClientEvent::NotMine,
-        }
+        let send = send_locate(&self.names, &self.forwarders);
+        self.locates.on_timer(ctx, timer, send)
     }
 }

@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use agentrack_platform::{AgentCtx, AgentId, NodeId, Payload, Spawner, TimerId};
-use agentrack_sim::{CorrId, GiveUpCause, MetricsRegistry, TraceEvent};
+use agentrack_sim::{CorrId, MetricsRegistry};
 
 use crate::config::LocationConfig;
 use crate::geo::ReachabilityMap;
@@ -24,12 +24,12 @@ use crate::hagent::{HAgentBehavior, StandbyHAgentBehavior};
 use crate::iagent::IAgentBehavior;
 use crate::lhagent::LHAgentBehavior;
 use crate::mailbox::MAIL_MAX_HOPS;
-use crate::retry::{LocateTracker, Retry};
+use crate::retry::{Attempt, LocateTracker};
 use crate::scheme::{
     ClientEvent, ClientFactory, CopyRole, DirectoryClient, LocationScheme, SchemeStats,
     SharedSchemeStats,
 };
-use crate::wire::{Freshness, HashFunction, Wire};
+use crate::wire::{send_traced, trace_recv, Freshness, HashFunction, Wire};
 
 /// The hash-based location scheme: one HAgent, one initial IAgent, one
 /// LHAgent per node.
@@ -247,8 +247,7 @@ pub struct HashedClient {
     /// unregistered agent is unlocatable, so the handshake restarts until
     /// the ack lands.
     register_watchdog: Option<TimerId>,
-    tracker: LocateTracker,
-    registry: MetricsRegistry,
+    locates: LocateTracker,
     /// Scheme-wide counters (hedges, bound violations) shared with the
     /// behaviours; a detached default when the client is built directly.
     shared: SharedSchemeStats,
@@ -263,13 +262,12 @@ impl HashedClient {
     pub fn new(config: LocationConfig, lhagents: Arc<Vec<AgentId>>) -> Self {
         let health = ReachabilityMap::new(config.geo_degrade_after, config.geo_heal_after);
         HashedClient {
+            locates: LocateTracker::new(&config, MetricsRegistry::new()),
             config,
             lhagents,
             my_iagent: None,
             registered: false,
             register_watchdog: None,
-            tracker: LocateTracker::new(),
-            registry: MetricsRegistry::new(),
             shared: SharedSchemeStats::new(),
             health,
         }
@@ -279,7 +277,7 @@ impl HashedClient {
     /// shared one) instead of a detached default.
     #[must_use]
     pub fn with_registry(mut self, registry: MetricsRegistry) -> Self {
-        self.registry = registry;
+        self.locates = LocateTracker::new(&self.config, registry);
         self
     }
 
@@ -291,121 +289,8 @@ impl HashedClient {
         self
     }
 
-    fn local_lhagent(&self, ctx: &AgentCtx<'_>) -> AgentId {
-        self.lhagents[ctx.node().index()]
-    }
-
     fn send_local_resolve(&self, ctx: &mut AgentCtx<'_>, msg: &Wire) {
-        let lh = self.local_lhagent(ctx);
-        let here = ctx.node();
-        let me = ctx.self_id();
-        ctx.trace().emit(ctx.now(), || TraceEvent::MessageSend {
-            kind: msg.kind(),
-            corr: msg.corr(),
-            from: me.raw(),
-            to: lh.raw(),
-            node: here,
-        });
-        ctx.send(lh, here, msg.payload());
-    }
-
-    /// Starts (or retries) the locate identified by `token`.
-    fn resolve_for_locate(
-        &mut self,
-        ctx: &mut AgentCtx<'_>,
-        target: AgentId,
-        token: u64,
-        fresh: bool,
-    ) {
-        let corr = Some(CorrId::new(ctx.self_id().raw(), token));
-        let msg = if fresh {
-            Wire::ResolveFresh {
-                target,
-                token: Some(token),
-                corr,
-            }
-        } else {
-            Wire::Resolve {
-                target,
-                token: Some(token),
-                corr,
-            }
-        };
-        self.send_local_resolve(ctx, &msg);
-        self.tracker
-            .arm_timer(ctx, self.config.locate_retry_timeout, token);
-    }
-
-    /// Acts on a retry decision from the tracker.
-    fn act(&mut self, ctx: &mut AgentCtx<'_>, decision: Retry) -> ClientEvent {
-        let me = ctx.self_id();
-        match decision {
-            Retry::Again { token, target } => {
-                let attempt = self.tracker.attempts(token).unwrap_or(0);
-                ctx.trace().emit(ctx.now(), || TraceEvent::RetryAttempt {
-                    corr: Some(CorrId::new(me.raw(), token)),
-                    client: me.raw(),
-                    target: target.raw(),
-                    attempt,
-                });
-                self.resolve_for_locate(ctx, target, token, true);
-                ClientEvent::Consumed
-            }
-            Retry::GiveUp {
-                token,
-                target,
-                cause,
-                tracker,
-                tracker_node,
-            } => {
-                ctx.trace().emit(ctx.now(), || TraceEvent::RetryGiveUp {
-                    corr: Some(CorrId::new(me.raw(), token)),
-                    client: me.raw(),
-                    target: target.raw(),
-                    attempts: self.config.max_locate_attempts,
-                    cause,
-                });
-                // A final timeout is one more unreachability signal for
-                // that destination; a final negative proves it reachable.
-                if let Some(node) = tracker_node {
-                    match cause {
-                        GiveUpCause::Timeout => self.health.on_timeout(node),
-                        GiveUpCause::Negative => self.health.on_success(node),
-                    }
-                }
-                // Charge the give-up to the tracker the final attempt hit,
-                // split by cause (timeout = it never answered; negative =
-                // it answered NotFound/NotResponsible). The remote
-                // counters tally the subset whose tracker sat on another
-                // node than the querier.
-                if let Some(tracker) = tracker {
-                    let remote = tracker_node.is_some_and(|n| n != ctx.node());
-                    self.registry.update_tracker(tracker, |t| {
-                        match cause {
-                            GiveUpCause::Timeout => t.giveup_timeout += 1,
-                            GiveUpCause::Negative => t.giveup_negative += 1,
-                        }
-                        if remote {
-                            match cause {
-                                GiveUpCause::Timeout => t.giveup_timeout_remote += 1,
-                                GiveUpCause::Negative => t.giveup_negative_remote += 1,
-                            }
-                        }
-                    });
-                }
-                ClientEvent::Failed { token, target }
-            }
-            Retry::Nothing => ClientEvent::Consumed,
-        }
-    }
-
-    /// Retries a locate after a negative answer; reports failure once the
-    /// budget is exhausted.
-    fn retry_locate(&mut self, ctx: &mut AgentCtx<'_>, token: u64) -> ClientEvent {
-        let decision = self
-            .tracker
-            .on_negative(token, self.config.max_locate_attempts);
-        self.act(ctx, decision)
+        send_traced(ctx, self.lhagents[ctx.node().index()], ctx.node(), msg);
     }
 
     fn send_own_update(&self, ctx: &mut AgentCtx<'_>) {
@@ -424,16 +309,6 @@ impl HashedClient {
         }
     }
 
-    /// A negative answer still proves its sender's node reachable: feed
-    /// the reachability map when the sender is the op's noted tracker.
-    fn note_reachable(&mut self, from: AgentId, token: u64) {
-        if let Some((tracker, node)) = self.tracker.noted_tracker(token) {
-            if tracker == from.raw() {
-                self.health.on_success(node);
-            }
-        }
-    }
-
     fn refresh_own_iagent(&self, ctx: &mut AgentCtx<'_>) {
         let me = ctx.self_id();
         self.send_local_resolve(
@@ -444,6 +319,93 @@ impl HashedClient {
                 corr: None,
             },
         );
+    }
+
+    /// Phase 2 of a locate: the local LHAgent named the responsible
+    /// IAgent, so query it. A bounded read toward a destination that has
+    /// been timing out is hedged: the same query goes to the tracker's
+    /// buddy replica in parallel, so the answer can come from this side
+    /// of a severed link.
+    fn query_tracker(
+        &mut self,
+        ctx: &mut AgentCtx<'_>,
+        token: u64,
+        tracker: (AgentId, NodeId),
+        buddy: Option<(AgentId, NodeId)>,
+        corr: Option<CorrId>,
+    ) {
+        let Some(target) = self.locates.target(token) else {
+            return;
+        };
+        let (iagent, node) = tracker;
+        self.locates.note_tracker(token, iagent.raw(), node);
+        let freshness = self.locates.freshness(token).unwrap_or_default();
+        let locate = Wire::Locate {
+            target,
+            token,
+            reply_node: ctx.node(),
+            freshness,
+            corr: corr.or_else(|| Some(CorrId::new(ctx.self_id().raw(), token))),
+        };
+        send_traced(ctx, iagent, node, &locate);
+        if matches!(freshness, Freshness::BoundedMs(_)) && self.health.should_hedge(node) {
+            if let Some((b, b_node)) = buddy.filter(|&(b, _)| b != iagent) {
+                self.shared.update(|s| s.hedged_locates += 1);
+                send_traced(ctx, b, b_node, &locate);
+            }
+        }
+    }
+
+    /// A negative answer (`NotFound`, `NotResponsible`) for `token` from
+    /// `from`.
+    fn on_negative(&mut self, ctx: &mut AgentCtx<'_>, from: AgentId, token: u64) -> ClientEvent {
+        let noted = self.locates.noted_tracker(token);
+        match noted {
+            // A negative from anyone but the op's noted tracker is a
+            // hedged buddy (or a stale straggler) saying "I don't know" —
+            // not authoritative, so it must not burn the primary
+            // attempt's retry budget.
+            Some((tracker, _)) if tracker != from.raw() => return ClientEvent::Consumed,
+            // A negative answer still proves its sender's node reachable.
+            Some((_, node)) => self.health.on_success(node),
+            None => {}
+        }
+        let event = self
+            .locates
+            .on_negative(ctx, token, resolve_locate(&self.lhagents));
+        // A final negative is one more reachability signal for the
+        // destination the locate gave up on.
+        if let (ClientEvent::Failed { .. }, Some((_, node))) = (&event, noted) {
+            self.health.on_success(node);
+        }
+        event
+    }
+}
+
+/// Phase 1 of one locate attempt: resolve the target through the local
+/// LHAgent, freshly on retries (the previous answer may have come from a
+/// stale hash-function copy). The tracker is noted once the LHAgent
+/// answers.
+fn resolve_locate(
+    lhagents: &[AgentId],
+) -> impl FnOnce(&mut AgentCtx<'_>, Attempt) -> Option<(AgentId, NodeId)> + '_ {
+    move |ctx, attempt| {
+        let (target, token, corr) = (attempt.target, Some(attempt.token), attempt.corr(ctx));
+        let msg = if attempt.number > 1 {
+            Wire::ResolveFresh {
+                target,
+                token,
+                corr,
+            }
+        } else {
+            Wire::Resolve {
+                target,
+                token,
+                corr,
+            }
+        };
+        send_traced(ctx, lhagents[ctx.node().index()], ctx.node(), &msg);
+        None
     }
 }
 
@@ -486,10 +448,6 @@ impl DirectoryClient for HashedClient {
         );
     }
 
-    fn locate(&mut self, ctx: &mut AgentCtx<'_>, target: AgentId, token: u64) {
-        self.locate_with(ctx, target, token, Freshness::Any);
-    }
-
     fn locate_with(
         &mut self,
         ctx: &mut AgentCtx<'_>,
@@ -497,31 +455,20 @@ impl DirectoryClient for HashedClient {
         token: u64,
         freshness: Freshness,
     ) {
-        self.tracker.start_with(token, target, ctx.now(), freshness);
-        self.resolve_for_locate(ctx, target, token, false);
+        let send = resolve_locate(&self.lhagents);
+        self.locates.start(ctx, token, target, freshness, send);
     }
 
     fn on_message(
         &mut self,
         ctx: &mut AgentCtx<'_>,
-        _from: AgentId,
+        from: AgentId,
         payload: &Payload,
     ) -> ClientEvent {
         let Some(msg) = Wire::from_payload(payload) else {
             return ClientEvent::NotMine;
         };
-        {
-            let me = ctx.self_id();
-            let here = ctx.node();
-            let queued = ctx.queued();
-            ctx.trace().emit(ctx.now(), || TraceEvent::MessageRecv {
-                kind: msg.kind(),
-                corr: msg.corr(),
-                by: me.raw(),
-                node: here,
-                queued,
-            });
-        }
+        trace_recv(ctx, &msg);
         match msg {
             // Phase-1 answer for one of our locates.
             Wire::Resolved {
@@ -532,54 +479,7 @@ impl DirectoryClient for HashedClient {
                 corr,
                 ..
             } => {
-                if let Some(target) = self.tracker.target(token) {
-                    let here = ctx.node();
-                    let me = ctx.self_id();
-                    self.tracker.note_tracker(token, iagent.raw(), node);
-                    self.tracker.note_buddy(token, buddy);
-                    let freshness = self.tracker.freshness(token).unwrap_or_default();
-                    let locate = Wire::Locate {
-                        target,
-                        token,
-                        reply_node: here,
-                        freshness,
-                        corr: corr.or_else(|| Some(CorrId::new(me.raw(), token))),
-                    };
-                    ctx.trace().emit(ctx.now(), || TraceEvent::MessageSend {
-                        kind: locate.kind(),
-                        corr: locate.corr(),
-                        from: me.raw(),
-                        to: iagent.raw(),
-                        node: here,
-                    });
-                    ctx.send(iagent, node, locate.payload());
-                    // Hedge: a bounded read toward a destination that has
-                    // been timing out goes to the tracker's buddy replica
-                    // in parallel, so the answer can come from this side
-                    // of a severed link.
-                    if matches!(freshness, Freshness::BoundedMs(_))
-                        && self.health.should_hedge(node)
-                    {
-                        if let Some((b, b_node)) = buddy.filter(|&(b, _)| b != iagent) {
-                            self.shared.update(|s| s.hedged_locates += 1);
-                            let hedge = Wire::Locate {
-                                target,
-                                token,
-                                reply_node: here,
-                                freshness,
-                                corr: corr.or_else(|| Some(CorrId::new(me.raw(), token))),
-                            };
-                            ctx.trace().emit(ctx.now(), || TraceEvent::MessageSend {
-                                kind: hedge.kind(),
-                                corr: hedge.corr(),
-                                from: me.raw(),
-                                to: b.raw(),
-                                node: here,
-                            });
-                            ctx.send(b, b_node, hedge.payload());
-                        }
-                    }
-                }
+                self.query_tracker(ctx, token, (iagent, node), buddy, corr);
                 ClientEvent::Consumed
             }
             // Phase-1 answer about ourselves (registration or own-update
@@ -622,43 +522,24 @@ impl DirectoryClient for HashedClient {
                     ClientEvent::Consumed
                 }
             }
-            Wire::Located {
-                target,
-                node,
-                stale,
-                age_ms,
-                token,
-                ..
-            } => {
-                let declared = self.tracker.freshness(token);
-                let noted = self.tracker.noted_tracker(token);
-                if let Some(started) = self.tracker.complete(token) {
+            located @ Wire::Located { token, age_ms, .. } => {
+                let declared = self.locates.freshness(token);
+                let noted = self.locates.noted_tracker(token);
+                let event = self.locates.on_located(ctx, located);
+                if let ClientEvent::Located { .. } = event {
                     // An answer from the tracker itself is a reachability
                     // signal for its node (a hedged buddy answering for
                     // it is not).
-                    if let Some((tracker, t_node)) = noted {
-                        if tracker == _from.raw() {
-                            self.health.on_success(t_node);
-                        }
+                    if let Some((_, node)) = noted.filter(|&(t, _)| t == from.raw()) {
+                        self.health.on_success(node);
                     }
-                    // Audit the contract this PR introduces: no answer
-                    // may exceed the bound its locate declared. The
-                    // invariant checker requires this count to stay 0.
+                    // No answer may exceed the bound its locate declared;
+                    // the invariant checker requires this count to stay 0.
                     if declared.is_some_and(|f| !f.admits(age_ms)) {
                         self.shared.update(|s| s.bound_violations += 1);
                     }
-                    self.registry
-                        .record_locate(ctx.now().saturating_since(started));
-                    ClientEvent::Located {
-                        token,
-                        target,
-                        node,
-                        stale,
-                        age_ms,
-                    }
-                } else {
-                    ClientEvent::Consumed
                 }
+                event
             }
             Wire::SolicitReregister => {
                 // A recovering tracker resurrected our record from a
@@ -676,36 +557,10 @@ impl DirectoryClient for HashedClient {
                 ClientEvent::Consumed
             }
             Wire::MailDrop { from, data } => ClientEvent::Mail { from, data },
-            Wire::NotFound { token, .. } => {
-                self.note_reachable(_from, token);
-                // A negative from anyone but the op's noted tracker is a
-                // hedged buddy (or a stale straggler) saying "I don't
-                // know" — not authoritative, so it must not burn the
-                // primary attempt's retry budget.
-                if self
-                    .tracker
-                    .noted_tracker(token)
-                    .is_some_and(|(t, _)| t != _from.raw())
-                {
-                    ClientEvent::Consumed
-                } else {
-                    self.retry_locate(ctx, token)
-                }
-            }
-            Wire::NotResponsible {
+            Wire::NotFound { token, .. }
+            | Wire::NotResponsible {
                 token: Some(token), ..
-            } => {
-                self.note_reachable(_from, token);
-                if self
-                    .tracker
-                    .noted_tracker(token)
-                    .is_some_and(|(t, _)| t != _from.raw())
-                {
-                    ClientEvent::Consumed
-                } else {
-                    self.retry_locate(ctx, token)
-                }
-            }
+            } => self.on_negative(ctx, from, token),
             Wire::NotResponsible {
                 about, token: None, ..
             } => {
@@ -739,7 +594,7 @@ impl DirectoryClient for HashedClient {
             // short backoff (an immediate retry would burn the budget
             // inside the outage window).
             Wire::Locate { token, .. } => {
-                self.tracker
+                self.locates
                     .arm_timer(ctx, self.config.bounce_retry_delay, token);
                 ClientEvent::Consumed
             }
@@ -761,23 +616,13 @@ impl DirectoryClient for HashedClient {
             }
             return ClientEvent::Consumed;
         }
-        match self
-            .tracker
-            .on_timer(timer, self.config.max_locate_attempts)
-        {
-            Some(decision) => {
-                // A live timer firing means the attempt got no answer:
-                // one unreachability signal against the tracker it was
-                // sent to. (The give-up case feeds the map inside `act`.)
-                if let Retry::Again { token, .. } = decision {
-                    if let Some((_, node)) = self.tracker.noted_tracker(token) {
-                        self.health.on_timeout(node);
-                    }
-                }
-                self.act(ctx, decision)
-            }
-            None => ClientEvent::NotMine,
+        // A live timer firing means the attempt got no answer: one
+        // unreachability signal against the tracker it was sent to.
+        if let Some(node) = self.locates.expiring(timer) {
+            self.health.on_timeout(node);
         }
+        let send = resolve_locate(&self.lhagents);
+        self.locates.on_timer(ctx, timer, send)
     }
 
     fn send_via(&mut self, ctx: &mut AgentCtx<'_>, target: AgentId, data: Vec<u8>) -> bool {

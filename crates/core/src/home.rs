@@ -19,15 +19,15 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use agentrack_platform::{Agent, AgentCtx, AgentId, NodeId, Payload, Spawner, TimerId};
-use agentrack_sim::{CorrId, GiveUpCause, MetricsRegistry, TraceEvent};
+use agentrack_sim::MetricsRegistry;
 
 use crate::centralized::CentralBehavior;
 use crate::config::LocationConfig;
-use crate::retry::{LocateTracker, Retry};
+use crate::retry::{Attempt, LocateTracker};
 use crate::scheme::{
     ClientEvent, ClientFactory, DirectoryClient, LocationScheme, SchemeStats, SharedSchemeStats,
 };
-use crate::wire::Wire;
+use crate::wire::{send_traced, trace_recv, Freshness, Wire};
 
 /// Behaviour of a per-node home registry.
 ///
@@ -152,8 +152,7 @@ pub struct HomeRegistryClient {
     names: NameTable,
     home: Option<NodeId>,
     registered: bool,
-    tracker: LocateTracker,
-    registry: MetricsRegistry,
+    locates: LocateTracker,
 }
 
 impl HomeRegistryClient {
@@ -162,13 +161,12 @@ impl HomeRegistryClient {
     #[must_use]
     pub fn new(config: LocationConfig, registries: Arc<Vec<AgentId>>, names: NameTable) -> Self {
         HomeRegistryClient {
+            locates: LocateTracker::new(&config, MetricsRegistry::new()),
             config,
             registries,
             names,
             home: None,
             registered: false,
-            tracker: LocateTracker::new(),
-            registry: MetricsRegistry::new(),
         }
     }
 
@@ -176,107 +174,28 @@ impl HomeRegistryClient {
     /// shared one) instead of a detached default.
     #[must_use]
     pub fn with_registry(mut self, registry: MetricsRegistry) -> Self {
-        self.registry = registry;
+        self.locates = LocateTracker::new(&self.config, registry);
         self
-    }
-
-    fn registry_at(&self, node: NodeId) -> (AgentId, NodeId) {
-        (self.registries[node.index()], node)
     }
 
     fn send_home(&self, ctx: &mut AgentCtx<'_>, msg: &Wire) {
         let home = self.home.expect("home set at registration");
-        let (registry, node) = self.registry_at(home);
-        ctx.send(registry, node, msg.payload());
+        ctx.send(self.registries[home.index()], home, msg.payload());
     }
+}
 
-    fn send_locate(&mut self, ctx: &mut AgentCtx<'_>, target: AgentId, token: u64) {
-        // The target's home comes from its name (zero-cost lookup). An
-        // unregistered target has no name to parse yet; retry later.
-        let home = self.names.read().get(&target).copied();
-        // An unregistered target has no home yet; the retry timer tries
-        // again later.
-        if let Some(home) = home {
-            let (registry, node) = self.registry_at(home);
-            let here = ctx.node();
-            let me = ctx.self_id();
-            let msg = Wire::Locate {
-                target,
-                token,
-                reply_node: here,
-                corr: Some(CorrId::new(me.raw(), token)),
-                freshness: self.tracker.freshness(token).unwrap_or_default(),
-            };
-            ctx.trace().emit(ctx.now(), || TraceEvent::MessageSend {
-                kind: msg.kind(),
-                corr: msg.corr(),
-                from: me.raw(),
-                to: registry.raw(),
-                node: here,
-            });
-            ctx.send(registry, node, msg.payload());
-            self.tracker.note_tracker(token, registry.raw(), node);
-        }
-        self.tracker
-            .arm_timer(ctx, self.config.locate_retry_timeout, token);
-    }
-
-    fn act(&mut self, ctx: &mut AgentCtx<'_>, decision: Retry) -> ClientEvent {
-        let me = ctx.self_id();
-        match decision {
-            Retry::Again { token, target } => {
-                let attempt = self.tracker.attempts(token).unwrap_or(0);
-                ctx.trace().emit(ctx.now(), || TraceEvent::RetryAttempt {
-                    corr: Some(CorrId::new(me.raw(), token)),
-                    client: me.raw(),
-                    target: target.raw(),
-                    attempt,
-                });
-                self.send_locate(ctx, target, token);
-                ClientEvent::Consumed
-            }
-            Retry::GiveUp {
-                token,
-                target,
-                cause,
-                tracker,
-                tracker_node,
-            } => {
-                ctx.trace().emit(ctx.now(), || TraceEvent::RetryGiveUp {
-                    corr: Some(CorrId::new(me.raw(), token)),
-                    client: me.raw(),
-                    target: target.raw(),
-                    attempts: self.config.max_locate_attempts,
-                    cause,
-                });
-                if let Some(tracker) = tracker {
-                    let remote = tracker_node.is_some_and(|n| n != ctx.node());
-                    self.registry.update_tracker(tracker, |t| match cause {
-                        GiveUpCause::Timeout => {
-                            t.giveup_timeout += 1;
-                            if remote {
-                                t.giveup_timeout_remote += 1;
-                            }
-                        }
-                        GiveUpCause::Negative => {
-                            t.giveup_negative += 1;
-                            if remote {
-                                t.giveup_negative_remote += 1;
-                            }
-                        }
-                    });
-                }
-                ClientEvent::Failed { token, target }
-            }
-            Retry::Nothing => ClientEvent::Consumed,
-        }
-    }
-
-    fn retry_locate(&mut self, ctx: &mut AgentCtx<'_>, token: u64) -> ClientEvent {
-        let decision = self
-            .tracker
-            .on_negative(token, self.config.max_locate_attempts);
-        self.act(ctx, decision)
+/// Sends one locate attempt to the target's home registry, read off its
+/// name (a zero-cost lookup). An unregistered target has no name yet:
+/// nothing is sent, and the attempt's timeout tries again later.
+fn send_locate<'a>(
+    names: &'a NameTable,
+    registries: &'a [AgentId],
+) -> impl FnOnce(&mut AgentCtx<'_>, Attempt) -> Option<(AgentId, NodeId)> + 'a {
+    move |ctx, attempt| {
+        let home = names.read().get(&attempt.target).copied()?;
+        let registry = registries[home.index()];
+        send_traced(ctx, registry, home, &attempt.locate(ctx));
+        Some((registry, home))
     }
 }
 
@@ -321,19 +240,15 @@ impl DirectoryClient for HomeRegistryClient {
         }
     }
 
-    fn locate(&mut self, ctx: &mut AgentCtx<'_>, target: AgentId, token: u64) {
-        self.locate_with(ctx, target, token, crate::wire::Freshness::Any);
-    }
-
     fn locate_with(
         &mut self,
         ctx: &mut AgentCtx<'_>,
         target: AgentId,
         token: u64,
-        freshness: crate::wire::Freshness,
+        freshness: Freshness,
     ) {
-        self.tracker.start_with(token, target, ctx.now(), freshness);
-        self.send_locate(ctx, target, token);
+        let send = send_locate(&self.names, &self.registries);
+        self.locates.start(ctx, token, target, freshness, send);
     }
 
     fn on_message(
@@ -345,18 +260,7 @@ impl DirectoryClient for HomeRegistryClient {
         let Some(msg) = Wire::from_payload(payload) else {
             return ClientEvent::NotMine;
         };
-        {
-            let me = ctx.self_id();
-            let here = ctx.node();
-            let queued = ctx.queued();
-            ctx.trace().emit(ctx.now(), || TraceEvent::MessageRecv {
-                kind: msg.kind(),
-                corr: msg.corr(),
-                by: me.raw(),
-                node: here,
-                queued,
-            });
-        }
+        trace_recv(ctx, &msg);
         match msg {
             Wire::RegisterAck { agent } => {
                 if agent == ctx.self_id() && !self.registered {
@@ -366,29 +270,11 @@ impl DirectoryClient for HomeRegistryClient {
                     ClientEvent::Consumed
                 }
             }
-            Wire::Located {
-                target,
-                node,
-                stale,
-                age_ms,
-                token,
-                ..
-            } => {
-                if let Some(started) = self.tracker.complete(token) {
-                    self.registry
-                        .record_locate(ctx.now().saturating_since(started));
-                    ClientEvent::Located {
-                        token,
-                        target,
-                        node,
-                        stale,
-                        age_ms,
-                    }
-                } else {
-                    ClientEvent::Consumed
-                }
+            located @ Wire::Located { .. } => self.locates.on_located(ctx, located),
+            Wire::NotFound { token, .. } => {
+                let send = send_locate(&self.names, &self.registries);
+                self.locates.on_negative(ctx, token, send)
             }
-            Wire::NotFound { token, .. } => self.retry_locate(ctx, token),
             _ => ClientEvent::NotMine,
         }
     }
@@ -413,12 +299,7 @@ impl DirectoryClient for HomeRegistryClient {
     }
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, timer: TimerId) -> ClientEvent {
-        match self
-            .tracker
-            .on_timer(timer, self.config.max_locate_attempts)
-        {
-            Some(decision) => self.act(ctx, decision),
-            None => ClientEvent::NotMine,
-        }
+        let send = send_locate(&self.names, &self.registries);
+        self.locates.on_timer(ctx, timer, send)
     }
 }

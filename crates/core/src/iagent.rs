@@ -29,7 +29,7 @@ use crate::mailbox::{Mailbox, MAIL_MAX_HOPS};
 use crate::replica::{replica_usable, RecoveryPhase, RecoveryState, ReplicaStore, Replicator};
 use crate::scheme::{CopyRole, SharedSchemeStats};
 use crate::stats::LoadStats;
-use crate::wire::{DenyReason, Freshness, HashFunction, Wire};
+use crate::wire::{send_traced, trace_recv, DenyReason, Freshness, HashFunction, Wire};
 
 #[derive(Debug, Clone)]
 struct PendingLocate {
@@ -232,20 +232,6 @@ impl IAgentBehavior {
         ctx.send(self.hagent, self.hagent_node, msg.payload());
     }
 
-    /// Sends a wire message, emitting a `MessageSend` trace event.
-    fn send_traced(&self, ctx: &mut AgentCtx<'_>, to: AgentId, node: NodeId, msg: &Wire) {
-        let me = ctx.self_id();
-        let here = ctx.node();
-        ctx.trace().emit(ctx.now(), || TraceEvent::MessageSend {
-            kind: msg.kind(),
-            corr: msg.corr(),
-            from: me.raw(),
-            to: to.raw(),
-            node: here,
-        });
-        ctx.send(to, node, msg.payload());
-    }
-
     /// Records where a request came from, for locality decisions.
     fn note_origin(&mut self, node: NodeId) {
         if self.config.locality_migration {
@@ -373,7 +359,7 @@ impl IAgentBehavior {
                 );
             }
             for p in std::mem::take(&mut self.pending) {
-                self.send_traced(
+                send_traced(
                     ctx,
                     p.requester,
                     p.reply_node,
@@ -434,7 +420,7 @@ impl IAgentBehavior {
             .partition(|p| hf.is_responsible(self_id, p.target));
         self.pending = stay;
         for p in bounce {
-            self.send_traced(
+            send_traced(
                 ctx,
                 p.requester,
                 p.reply_node,
@@ -573,7 +559,7 @@ impl IAgentBehavior {
                     p.corr,
                 );
             } else if ctx.now() >= p.deadline {
-                self.send_traced(
+                send_traced(
                     ctx,
                     p.requester,
                     p.reply_node,
@@ -615,7 +601,7 @@ impl IAgentBehavior {
                 target: target.raw(),
             });
         }
-        self.send_traced(
+        send_traced(
             ctx,
             requester,
             reply_node,
@@ -949,18 +935,7 @@ impl Agent for IAgentBehavior {
         let Some(msg) = Wire::from_payload(payload) else {
             return;
         };
-        {
-            let me = ctx.self_id();
-            let here = ctx.node();
-            let queued = ctx.queued();
-            ctx.trace().emit(ctx.now(), || TraceEvent::MessageRecv {
-                kind: msg.kind(),
-                corr: msg.corr(),
-                by: me.raw(),
-                node: here,
-                queued,
-            });
-        }
+        trace_recv(ctx, &msg);
         // Client traffic that beats the first install is buffered, not
         // bounced: answering NotResponsible here would send freshly-resolved
         // clients into a refresh loop against the already-committed tree.
@@ -1155,7 +1130,7 @@ impl IAgentBehavior {
                                     tracker: me,
                                     target: target.raw(),
                                 });
-                                self.send_traced(
+                                send_traced(
                                     ctx,
                                     from,
                                     reply_node,
@@ -1176,7 +1151,7 @@ impl IAgentBehavior {
                     }
                     if !replied {
                         self.shared.update(|s| s.stale_hits += 1);
-                        self.send_traced(
+                        send_traced(
                             ctx,
                             from,
                             reply_node,

@@ -13,7 +13,7 @@ use agentrack_sim::{CorrId, SimDuration, SimTime, TraceEvent};
 
 use crate::config::LocationConfig;
 use crate::scheme::{CopyRole, SharedSchemeStats};
-use crate::wire::{HashFunction, Wire};
+use crate::wire::{send_traced, trace_recv, HashFunction, Wire};
 
 /// Behaviour of an LHAgent.
 #[derive(Debug)]
@@ -121,19 +121,11 @@ impl LHAgentBehavior {
         // can hedge freshness-bounded locates cross-region when the
         // tracker itself looks unreachable.
         let buddy = self.hf.buddy_of(iagent);
-        let here = ctx.node();
-        let me = ctx.self_id();
-        ctx.trace().emit(ctx.now(), || TraceEvent::MessageSend {
-            kind: "Resolved",
-            corr,
-            from: me.raw(),
-            to: requester.raw(),
-            node: here,
-        });
-        ctx.send(
+        send_traced(
+            ctx,
             requester,
-            here,
-            Wire::Resolved {
+            ctx.node(),
+            &Wire::Resolved {
                 target,
                 iagent,
                 node,
@@ -141,8 +133,7 @@ impl LHAgentBehavior {
                 version: self.hf.version,
                 token,
                 corr,
-            }
-            .payload(),
+            },
         );
     }
 
@@ -217,18 +208,7 @@ impl Agent for LHAgentBehavior {
         let Some(msg) = Wire::from_payload(payload) else {
             return;
         };
-        {
-            let me = ctx.self_id();
-            let here = ctx.node();
-            let queued = ctx.queued();
-            ctx.trace().emit(ctx.now(), || TraceEvent::MessageRecv {
-                kind: msg.kind(),
-                corr: msg.corr(),
-                by: me.raw(),
-                node: here,
-                queued,
-            });
-        }
+        trace_recv(ctx, &msg);
         match msg {
             Wire::Resolve {
                 target,

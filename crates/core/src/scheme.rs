@@ -81,26 +81,25 @@ pub trait DirectoryClient: Send {
     /// `on_dispose` when the agent dies.
     fn deregister(&mut self, ctx: &mut AgentCtx<'_>);
 
-    /// Starts locating `target`; the outcome arrives later as
+    /// Starts locating `target` with no freshness requirement
+    /// ([`crate::Freshness::Any`]); the outcome arrives later as
     /// [`ClientEvent::Located`] or [`ClientEvent::Failed`] carrying `token`.
-    fn locate(&mut self, ctx: &mut AgentCtx<'_>, target: AgentId, token: u64);
+    fn locate(&mut self, ctx: &mut AgentCtx<'_>, target: AgentId, token: u64) {
+        self.locate_with(ctx, target, token, crate::Freshness::Any);
+    }
 
     /// Like [`locate`](DirectoryClient::locate), but the query declares
-    /// how fresh the answer must be. The default ignores the requirement
-    /// and behaves like a plain locate ([`crate::Freshness::Any`]) —
-    /// correct for schemes without replicated records, where every
-    /// answer is authoritative; the hashed scheme overrides it to thread
-    /// the bound through the wire.
+    /// how fresh the answer must be; every retry carries the same bound.
+    /// Only the hashed scheme's replicated records can answer with a
+    /// nonzero age: in the other schemes every answer is authoritative
+    /// (age 0) and satisfies any bound.
     fn locate_with(
         &mut self,
         ctx: &mut AgentCtx<'_>,
         target: AgentId,
         token: u64,
         freshness: crate::Freshness,
-    ) {
-        let _ = freshness;
-        self.locate(ctx, target, token);
-    }
+    );
 
     /// Offers an incoming message to the client.
     fn on_message(

@@ -8,8 +8,8 @@
 use std::collections::HashMap;
 
 use agentrack_hashtree::{AgentKey, CompiledDirectory, HashTree, IAgentId};
-use agentrack_platform::{AgentId, NodeId, Payload};
-use agentrack_sim::CorrId;
+use agentrack_platform::{AgentCtx, AgentId, NodeId, Payload};
+use agentrack_sim::{CorrId, TraceEvent};
 use serde::{Deserialize, Serialize};
 
 /// Derives the hash key of a platform agent id.
@@ -720,6 +720,40 @@ impl Wire {
             _ => None,
         }
     }
+}
+
+/// Sends `msg` to `to` at `node`, emitting its `MessageSend` trace event
+/// stamped with the sender's node.
+pub(crate) fn send_traced(ctx: &mut AgentCtx<'_>, to: AgentId, node: NodeId, msg: &Wire) {
+    trace_send(ctx, to, ctx.node(), msg);
+    ctx.send(to, node, msg.payload());
+}
+
+/// Emits the `MessageSend` trace event of `msg` leaving for `to`, stamped
+/// with `node`.
+pub(crate) fn trace_send(ctx: &AgentCtx<'_>, to: AgentId, node: NodeId, msg: &Wire) {
+    let me = ctx.self_id();
+    ctx.trace().emit(ctx.now(), || TraceEvent::MessageSend {
+        kind: msg.kind(),
+        corr: msg.corr(),
+        from: me.raw(),
+        to: to.raw(),
+        node,
+    });
+}
+
+/// Emits the `MessageRecv` trace event of `msg` being handled here.
+pub(crate) fn trace_recv(ctx: &AgentCtx<'_>, msg: &Wire) {
+    let me = ctx.self_id();
+    let here = ctx.node();
+    let queued = ctx.queued();
+    ctx.trace().emit(ctx.now(), || TraceEvent::MessageRecv {
+        kind: msg.kind(),
+        corr: msg.corr(),
+        by: me.raw(),
+        node: here,
+        queued,
+    });
 }
 
 #[cfg(test)]
