@@ -9,12 +9,11 @@
 //! `ablation-split`, `ablation-propagation`, `sweep-thresholds`, `skew`,
 //! `baselines`, `churn`, `locality`, `ablation-planning`, `delivery`,
 //! `trackers`, `chaos`, `attribution`, `recovery` and `rehash-spike`;
-//! `--help` lists them too. The ones with a spec file under `specs/`
-//! (`exp1`, `exp2`, the three ablations, `sweep-thresholds`, `chaos`,
-//! `rehash-spike`) run from it through the scenario lab's trial runner,
-//! with its post-quiesce invariant audit: any violation is reported and
-//! makes `repro` exit 1 once every chosen experiment has run, as
-//! `scenario_lab` does.
+//! `--help` lists them too. All but `baselines`, `delivery`, `trackers`
+//! and `attribution` have a spec file under `specs/` and run from it
+//! through the scenario lab's trial runner, with its post-quiesce
+//! invariant audit: any violation is reported and makes `repro` exit 1
+//! once every chosen experiment has run, as `scenario_lab` does.
 //!
 //! With no experiment arguments, everything runs. `--quick` shrinks
 //! populations and spans for a fast smoke pass; the recorded results in

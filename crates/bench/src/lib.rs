@@ -3,10 +3,14 @@
 //! The experiment harness behind the paper's evaluation and the extension
 //! experiments (ablations, sensitivity sweeps, a baseline panel). Most
 //! experiments are declarative specs under `specs/`, run by the generic
-//! trial runner ([`run_spec`]); the rest are hand-coded grids here.
-//! [`run_experiment`] dispatches either kind by name for the `repro`
-//! binary, which prints the tables recorded in `EXPERIMENTS.md`; the
-//! Criterion benches under `benches/` cover the micro-level costs.
+//! trial runner ([`run_spec`]): E1–E6, E8–E10, E13, E15 and E17. The four
+//! whose shape the spec schema does not express are hand-coded grids
+//! here: the pivoted baseline panel (E7), delivery to a moving agent
+//! (E11), the per-tracker registry view (E12) and latency attribution
+//! with its exports (E14). [`run_experiment`] dispatches either kind by
+//! name for the `repro` binary, which prints the tables recorded in
+//! `EXPERIMENTS.md`; the Criterion benches under `benches/` cover the
+//! micro-level costs.
 //!
 //! Every experiment takes a [`Fidelity`]: [`Fidelity::Full`] reproduces the
 //! paper's parameters (reconstructed where the source text lost digits —
@@ -25,7 +29,7 @@ use agentrack_core::{
     CentralizedScheme, ForwardingScheme, HashedScheme, HomeRegistryScheme, LocationConfig,
     LocationScheme,
 };
-use agentrack_workload::{AuditOptions, RunOptions, Scenario, ScenarioReport};
+use agentrack_workload::{RunOptions, Scenario, ScenarioReport};
 
 pub mod spec;
 
@@ -115,8 +119,8 @@ impl Fidelity {
 
     fn spans(self) -> (f64, f64) {
         match self {
-            // The split cascade at the largest population needs ~25 s to
-            // converge (the HAgent serialises rehashes); measure after it.
+            // Warm up until the split cascade at the largest population
+            // has settled, then measure.
             Fidelity::Full => (35.0, 15.0),
             Fidelity::Quick => (10.0, 5.0),
         }
@@ -242,58 +246,6 @@ pub(crate) fn boxed_scheme(
     }
 }
 
-/// Runs one scenario against a fresh scheme instance of the named kind.
-fn run_scheme(scenario: &Scenario, kind: &str, config: LocationConfig) -> ScenarioReport {
-    let mut scheme = boxed_scheme(kind, config, false);
-    scenario.run_with(scheme.as_mut(), RunOptions::new()).report
-}
-
-/// **E6** — skewed workloads: Zipf query popularity and Zipf node
-/// popularity. The paper balances *workload*, not item counts (its stated
-/// contrast with consistent hashing); this shows the load-driven splits
-/// coping with skew.
-#[must_use]
-pub fn skew(fidelity: Fidelity, jobs: usize) -> Table {
-    let agents = fidelity.scale_agents(300);
-    let (warmup, measure) = fidelity.spans();
-    let mut table = Table::new(
-        "E6: Zipf skew (query popularity and node popularity)",
-        &[
-            "skew_s",
-            "locate_ms",
-            "p95_ms",
-            "iagents",
-            "splits",
-            "failures",
-        ],
-    );
-    let cells: Vec<Cell> = [0.0, 0.5, 0.9, 1.2]
-        .into_iter()
-        .map(|s| {
-            Box::new(move || {
-                let mut scenario = Scenario::new(format!("skew-{s}"))
-                    .with_agents(agents)
-                    .with_residence_ms(300)
-                    .with_queries(fidelity.queries())
-                    .with_seconds(warmup, measure);
-                scenario.query_skew = Some(s);
-                scenario.mobility_skew = Some(s);
-                let report = run_scheme(&scenario, "hashed", LocationConfig::default());
-                vec![
-                    format!("{s}"),
-                    ms(report.mean_locate_ms),
-                    ms(report.p95_locate_ms),
-                    report.trackers.to_string(),
-                    report.splits.to_string(),
-                    report.locate_failures.to_string(),
-                ]
-            }) as Cell
-        })
-        .collect();
-    table.rows = run_cells(cells, jobs);
-    table
-}
-
 /// **E7** — baseline panel: all four schemes under the Experiment-I
 /// workload at two populations and under fast mobility.
 #[must_use]
@@ -327,7 +279,8 @@ pub fn baselines(fidelity: Fidelity, jobs: usize) -> Table {
                         .with_residence_ms(res)
                         .with_queries(fidelity.queries())
                         .with_seconds(warmup, measure);
-                    let report = run_scheme(&scenario, kind, patient(LocationConfig::default()));
+                    let mut scheme = boxed_scheme(kind, patient(LocationConfig::default()), false);
+                    let report = scenario.run_with(scheme.as_mut(), RunOptions::new()).report;
                     vec![ms_or_dnf(&report), report.locate_failures.to_string()]
                 }) as Cell
             })
@@ -345,115 +298,6 @@ pub fn baselines(fidelity: Fidelity, jobs: usize) -> Table {
         row.push(failures.to_string());
         table.push_row(row);
     }
-    table
-}
-
-/// **E8** — population churn: agents die and are replaced throughout the
-/// run (the paper's "open system" motivation). Lifespans are exponential;
-/// the mean sweeps from heavy churn to none.
-#[must_use]
-pub fn churn(fidelity: Fidelity, jobs: usize) -> Table {
-    use agentrack_sim::{DurationDist, SimDuration};
-    let agents = fidelity.scale_agents(300);
-    let (warmup, measure) = fidelity.spans();
-    let mut table = Table::new(
-        "E8: population churn (exponential lifespans)",
-        &[
-            "mean_lifespan_s",
-            "locate_ms",
-            "births",
-            "deaths",
-            "completed",
-            "failures",
-            "iagents",
-        ],
-    );
-    let cells: Vec<Cell> = [5u64, 15, 60, 0]
-        .into_iter()
-        .map(|lifespan_s| {
-            Box::new(move || {
-                let mut scenario = Scenario::new(format!("churn-{lifespan_s}"))
-                    .with_agents(agents)
-                    .with_residence_ms(300)
-                    .with_queries(fidelity.queries())
-                    .with_seconds(warmup, measure);
-                if lifespan_s > 0 {
-                    scenario.churn_lifespan = Some(DurationDist::Exponential {
-                        mean: SimDuration::from_secs(lifespan_s),
-                    });
-                }
-                let report = run_scheme(&scenario, "hashed", patient(LocationConfig::default()));
-                vec![
-                    if lifespan_s == 0 {
-                        "static".to_owned()
-                    } else {
-                        lifespan_s.to_string()
-                    },
-                    ms(report.mean_locate_ms),
-                    report.births.to_string(),
-                    report.deaths.to_string(),
-                    report.locates_completed.to_string(),
-                    report.locate_failures.to_string(),
-                    report.trackers.to_string(),
-                ]
-            }) as Cell
-        })
-        .collect();
-    table.rows = run_cells(cells, jobs);
-    table
-}
-
-/// **E9** — locality extension (paper §7): IAgents migrate toward the
-/// node that originates most of their traffic. Under skewed mobility the
-/// tracked agents cluster, so a mobile IAgent can turn remote update
-/// traffic into node-local traffic.
-#[must_use]
-pub fn locality(fidelity: Fidelity, jobs: usize) -> Table {
-    let agents = fidelity.scale_agents(300);
-    let (warmup, measure) = fidelity.spans();
-    let mut table = Table::new(
-        "E9: IAgent locality migration under skewed mobility",
-        &[
-            "locality",
-            "mobility_skew",
-            "locate_ms",
-            "iagent_moves",
-            "remote_msgs",
-            "total_msgs",
-            "failures",
-        ],
-    );
-    let cells: Vec<Cell> = [2.5f64, 0.0]
-        .into_iter()
-        .flat_map(|skew| {
-            [false, true].into_iter().map(move |enabled| {
-                Box::new(move || {
-                    let mut scenario = Scenario::new(format!("locality-{enabled}-{skew}"))
-                        .with_agents(agents)
-                        .with_residence_ms(300)
-                        .with_queries(fidelity.queries())
-                        .with_seconds(warmup, measure);
-                    scenario.mobility_skew = Some(skew);
-                    let config = if enabled {
-                        patient(LocationConfig::default()).with_locality_migration()
-                    } else {
-                        patient(LocationConfig::default())
-                    };
-                    let report = run_scheme(&scenario, "hashed", config);
-                    vec![
-                        if enabled { "on" } else { "off" }.to_owned(),
-                        format!("{skew}"),
-                        ms(report.mean_locate_ms),
-                        report.iagent_moves.to_string(),
-                        report.messages_remote.to_string(),
-                        report.messages_sent.to_string(),
-                        report.locate_failures.to_string(),
-                    ]
-                }) as Cell
-            })
-        })
-        .collect();
-    table.rows = run_cells(cells, jobs);
     table
 }
 
@@ -624,153 +468,6 @@ pub fn attribution(fidelity: Fidelity, jobs: usize) -> (Table, String, String) {
     (table, perfetto, folded)
 }
 
-/// **E15** — record durability and recovery: two nodes crash with
-/// soft-state loss and restart half a second later, wiping the records of
-/// every tracker they hosted. The sweep crosses the crash time (early in
-/// the run, while the tree is still splitting, vs. late in steady state)
-/// with the hashed scheme's replication interval — `off` is the ablation,
-/// recovery by client re-registration only — and runs the centralized and
-/// home-registry baselines under the identical plan for contrast.
-///
-/// Recovery times are measured from the trace: each
-/// [`agentrack_sim::TraceEvent::RecoveryStart`] is paired with the same
-/// tracker's `RecoveryEnd`, and the p50/p95 of those spans reported.
-/// `stale_answers` counts the degraded-mode `Located{stale}` answers
-/// served while converging — availability the ablation does not have.
-/// Every cell runs the post-quiesce invariant audit (locatability,
-/// version convergence, single ownership, recovery convergence).
-#[must_use]
-pub fn recovery(fidelity: Fidelity, jobs: usize) -> Table {
-    use agentrack_sim::{
-        FaultEvent, FaultKind, FaultPlan, NodeId, SimDuration, SimTime, TraceEvent, TraceSink,
-    };
-    use std::collections::HashMap;
-
-    let agents = fidelity.scale_agents(200);
-    let (warmup, measure) = fidelity.spans();
-    let mut table = Table::new(
-        "E15: recovery after tracker crashes with soft-state loss",
-        &[
-            "crash_frac",
-            "repl",
-            "scheme",
-            "recoveries",
-            "rec_p50_ms",
-            "rec_p95_ms",
-            "stale_answers",
-            "record_syncs",
-            "success_pct",
-            "mail_lost",
-            "violations",
-        ],
-    );
-    // (scheme, replication interval in ms): `None` on a hashed row is the
-    // durability-off ablation; the baselines have no replication at all.
-    let variants: [(&str, Option<u64>); 5] = [
-        ("hashed", None),
-        ("hashed", Some(250)),
-        ("hashed", Some(1000)),
-        ("centralized", None),
-        ("home-registry", None),
-    ];
-    let cells: Vec<Cell> = [0.35f64, 0.65]
-        .into_iter()
-        .flat_map(|crash_frac| {
-            variants.into_iter().map(move |(kind, repl_ms)| {
-                Box::new(move || {
-                    let repl_label = repl_ms.map_or_else(|| "off".to_owned(), |v| format!("{v}ms"));
-                    let mut scenario =
-                        Scenario::new(format!("recovery-{kind}-{repl_label}-{crash_frac}"))
-                            .with_agents(agents)
-                            .with_residence_ms(400)
-                            .with_queries(fidelity.queries())
-                            .with_seconds(warmup, measure);
-                    // Crash two nodes at once — with the population spread
-                    // round-robin and the tree split by then, both the
-                    // initial tracker's node and a split target go down —
-                    // and restart them 500 ms later with soft state gone.
-                    let crash_at = SimTime::ZERO + scenario.duration().mul_f64(crash_frac);
-                    let restart_at = crash_at + SimDuration::from_millis(500);
-                    let mut plan = FaultPlan::new();
-                    for node in 0..2u32 {
-                        plan.push(FaultEvent {
-                            at: crash_at,
-                            kind: FaultKind::NodeCrash {
-                                node: NodeId::new(node),
-                                lose_soft_state: true,
-                                restart_at: Some(restart_at),
-                            },
-                        });
-                    }
-                    scenario.faults = plan;
-                    let mut config = patient(LocationConfig::default())
-                        .with_version_audit(SimDuration::from_secs(1));
-                    if let Some(v) = repl_ms {
-                        config = config.with_replication(SimDuration::from_millis(v));
-                    }
-                    let sink = TraceSink::bounded(524_288);
-                    let mut scheme = boxed_scheme(kind, config, kind == "hashed");
-                    let out = scenario.run_with(
-                        scheme.as_mut(),
-                        RunOptions::new()
-                            .with_sink(sink.clone())
-                            .with_audit(AuditOptions {
-                                strict_versions: kind == "hashed",
-                            }),
-                    );
-                    let (report, invariants) =
-                        (out.report, out.invariants.expect("audit was requested"));
-                    // Pair RecoveryStart/RecoveryEnd per tracker into spans.
-                    let mut open: HashMap<u64, SimTime> = HashMap::new();
-                    let mut spans_ms: Vec<f64> = Vec::new();
-                    for record in sink.snapshot() {
-                        match record.event {
-                            TraceEvent::RecoveryStart { tracker } => {
-                                open.insert(tracker, record.at);
-                            }
-                            TraceEvent::RecoveryEnd { tracker, .. } => {
-                                if let Some(started) = open.remove(&tracker) {
-                                    spans_ms
-                                        .push(record.at.saturating_since(started).as_millis_f64());
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                    spans_ms.sort_by(f64::total_cmp);
-                    let pct = |p: f64| -> f64 {
-                        if spans_ms.is_empty() {
-                            return 0.0;
-                        }
-                        let idx = ((p / 100.0) * (spans_ms.len() - 1) as f64).round() as usize;
-                        spans_ms[idx]
-                    };
-                    let success = if report.locates_issued == 0 {
-                        100.0
-                    } else {
-                        100.0 * report.locates_completed as f64 / report.locates_issued as f64
-                    };
-                    vec![
-                        format!("{crash_frac:.2}"),
-                        repl_label,
-                        kind.to_owned(),
-                        report.recoveries_completed.to_string(),
-                        ms(pct(50.0)),
-                        ms(pct(95.0)),
-                        report.stale_answers.to_string(),
-                        report.record_syncs.to_string(),
-                        format!("{success:.1}"),
-                        report.mail_lost.to_string(),
-                        invariants.violations.len().to_string(),
-                    ]
-                }) as Cell
-            })
-        })
-        .collect();
-    table.rows = run_cells(cells, jobs);
-    table
-}
-
 /// All experiment names accepted by the `repro` binary, in order.
 pub const EXPERIMENTS: &[&str] = &[
     "exp1",
@@ -812,6 +509,10 @@ const SPEC_EXPERIMENTS: &[(&str, &str)] = spec_experiments![
     "ablation-planning",
     "chaos",
     "rehash-spike",
+    "skew",
+    "churn",
+    "locality",
+    "recovery",
 ];
 
 /// Everything one experiment produces.
@@ -846,10 +547,7 @@ pub fn run_experiment(name: &str, fidelity: Fidelity, jobs: usize) -> Experiment
         };
     }
     let (table, files) = match name {
-        "skew" => (skew(fidelity, jobs), Vec::new()),
         "baselines" => (baselines(fidelity, jobs), Vec::new()),
-        "churn" => (churn(fidelity, jobs), Vec::new()),
-        "locality" => (locality(fidelity, jobs), Vec::new()),
         "delivery" => (delivery(fidelity, jobs), Vec::new()),
         "trackers" => {
             let (table, json) = trackers_registry(fidelity);
@@ -865,7 +563,6 @@ pub fn run_experiment(name: &str, fidelity: Fidelity, jobs: usize) -> Experiment
                 ],
             )
         }
-        "recovery" => (recovery(fidelity, jobs), Vec::new()),
         other => panic!("unknown experiment {other}"),
     };
     ExperimentOutput {
@@ -873,43 +570,6 @@ pub fn run_experiment(name: &str, fidelity: Fidelity, jobs: usize) -> Experiment
         files,
         violations: 0,
     }
-}
-
-/// Diagnostic deep-dive on the heaviest Experiment-I point (not part of the
-/// recorded tables; used to understand tail latencies).
-#[must_use]
-pub fn diagnose(fidelity: Fidelity) -> Table {
-    let (warmup, measure) = fidelity.spans();
-    let mut scenario = Scenario::new("diagnose-1000")
-        .with_agents(fidelity.scale_agents(1000))
-        .with_residence_ms(500)
-        .with_queries(fidelity.queries())
-        .with_seconds(warmup, measure);
-    scenario.grace = agentrack_sim::SimDuration::from_secs(45);
-    let report = run_scheme(&scenario, "hashed", patient(LocationConfig::default()));
-    let mut table = Table::new(
-        "diagnose: hashed at the heaviest point",
-        &["metric", "value"],
-    );
-    for (k, v) in [
-        ("mean_ms", format!("{:.2}", report.mean_locate_ms)),
-        ("p50_ms", format!("{:.2}", report.p50_locate_ms)),
-        ("p95_ms", format!("{:.2}", report.p95_locate_ms)),
-        ("max_ms", format!("{:.2}", report.max_locate_ms)),
-        ("completed", report.locates_completed.to_string()),
-        ("failures", report.locate_failures.to_string()),
-        ("registrations", report.registrations.to_string()),
-        ("splits", report.splits.to_string()),
-        ("merges", report.merges.to_string()),
-        ("iagents", report.trackers.to_string()),
-        ("stale_hits", report.stale_hits.to_string()),
-        ("hf_fetches", report.hf_fetches.to_string()),
-        ("handoffs", report.records_handed_off.to_string()),
-        ("msgs_failed", report.messages_failed.to_string()),
-    ] {
-        table.push_row(vec![k.to_owned(), v]);
-    }
-    table
 }
 
 /// **E11** — guaranteed delivery (paper §6 open problem): success rate of

@@ -6,15 +6,16 @@
 //!
 //! Every trial owns its entire simulation and is fully determined by the
 //! spec and its seed, so `--jobs 1` and `--jobs N` produce byte-identical
-//! tables — the property the `scenario-lab-smoke` CI job diffs.
+//! tables — the property CI diffs.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use agentrack_core::{Freshness, LocationConfig};
 use agentrack_sim::{
     ChaosConfig, DurationDist, FaultEvent, FaultKind, FaultPlan, NodeId, SimDuration, SimTime,
-    TraceEvent, TraceSink,
+    TraceEvent, TraceRecord, TraceSink,
 };
 use agentrack_workload::{
     AuditOptions, InvariantReport, QuerySpike, RunOptions, Scenario, ScenarioReport,
@@ -74,6 +75,8 @@ pub struct TrialRecord {
     pub rehash_concurrency: Option<usize>,
     /// Resolved query Zipf exponent, when set.
     pub query_skew: Option<f64>,
+    /// Resolved mobility Zipf exponent, when set.
+    pub mobility_skew: Option<f64>,
     /// Resolved freshness bound in milliseconds (`0` = Fresh), when the
     /// workload or a sweep axis declares one; `None` = Any.
     pub freshness_ms: Option<u64>,
@@ -84,11 +87,17 @@ pub struct TrialRecord {
     pub report: ScenarioReport,
     /// The post-quiesce invariant audit (absent with `audit: false`).
     pub invariants: Option<InvariantReport>,
+    /// The arm's record replication interval, when it replicates.
+    pub replication_ms: Option<u64>,
     /// Rehash requests the control plane denied.
     pub rehash_denied: u64,
     /// Milliseconds from the first spike's start to the last committed
     /// split — rehash settling time (requires tracing and spikes).
     pub reconverge_ms: Option<f64>,
+    /// Recovery spans in milliseconds, ascending: each tracker's
+    /// `RecoveryStart` paired with its next `RecoveryEnd` (empty unless
+    /// traced).
+    pub recovery_ms: Vec<f64>,
     /// Host wall-clock milliseconds the trial took. The only
     /// non-deterministic field; golden tests bound it instead of
     /// comparing it.
@@ -241,7 +250,12 @@ fn run_trial(
     let residence_ms = axis_value(point, "residence_ms")
         .map(|v| v as u64)
         .or(w.residence_ms);
-    let query_skew = axis_value(point, "query_skew").or(w.query_skew);
+    // `skew` sets query and node popularity together.
+    let skew = axis_value(point, "skew");
+    let query_skew = skew.or(axis_value(point, "query_skew")).or(w.query_skew);
+    let mobility_skew = skew
+        .or(axis_value(point, "mobility_skew"))
+        .or(w.mobility_skew);
     let rehash_concurrency = axis_value(point, "rehash_concurrency")
         .map(|v| v as usize)
         .or(arm.rehash_concurrency);
@@ -267,7 +281,7 @@ fn run_trial(
         scenario.grace = SimDuration::from_secs_f64(grace);
     }
     scenario.query_skew = query_skew;
-    scenario.mobility_skew = w.mobility_skew;
+    scenario.mobility_skew = mobility_skew;
     if let Some(loss) = w.loss {
         scenario.loss = loss;
     }
@@ -278,6 +292,12 @@ fn run_trial(
         scenario.churn_lifespan = Some(DurationDist::Constant(SimDuration::from_millis(
             lifespan_ms,
         )));
+    }
+    // A mean lifespan of 0 is the static population.
+    if let Some(mean_s) = axis_value(point, "mean_lifespan_s").filter(|&s| s > 0.0) {
+        scenario.churn_lifespan = Some(DurationDist::Exponential {
+            mean: SimDuration::from_secs_f64(mean_s),
+        });
     }
     if let Some(regions) = w.regions {
         scenario = scenario.with_regions(regions, w.inter_region_ms.unwrap_or(60.0));
@@ -365,6 +385,24 @@ fn run_trial(
             }
             scenario.faults = plan;
         }
+        if let Some(crash) = &faults.node_crash {
+            let crash_frac = axis_value(point, "crash_frac")
+                .expect("validated: node_crash has a crash_frac axis");
+            let crash_at = SimTime::ZERO + scenario.duration().mul_f64(crash_frac);
+            let restart_at = crash_at + SimDuration::from_millis(crash.restart_ms);
+            let mut plan = FaultPlan::new();
+            for &node in &crash.nodes {
+                plan.push(FaultEvent {
+                    at: crash_at,
+                    kind: FaultKind::NodeCrash {
+                        node: NodeId::new(node),
+                        lose_soft_state: true,
+                        restart_at: Some(restart_at),
+                    },
+                });
+            }
+            scenario.faults = plan;
+        }
     }
     let fault_windows: Vec<FaultWindow> = scenario
         .faults
@@ -409,8 +447,13 @@ fn run_trial(
         config = config.with_rehash_concurrency(concurrency);
     }
 
-    let needs_trace =
-        spec.trace_buffer.is_some() || spec.columns.iter().any(|c| c.field == "reconverge_ms");
+    let needs_trace = spec.trace_buffer.is_some()
+        || spec.columns.iter().any(|c| {
+            matches!(
+                c.field.as_str(),
+                "reconverge_ms" | "rec_p50_ms" | "rec_p95_ms"
+            )
+        });
     let sink = if needs_trace {
         TraceSink::bounded(spec.trace_buffer.unwrap_or(1_048_576))
     } else {
@@ -430,21 +473,20 @@ fn run_trial(
     let out = scenario.run_with(scheme.as_mut(), options);
     let rehash_denied = scheme.stats().rehash_denied;
 
-    let reconverge_ms = if needs_trace {
-        first_spike_at.and_then(|at| {
-            let spike_start = SimTime::ZERO + at;
-            sink.snapshot()
-                .iter()
-                .filter(|r| {
-                    matches!(r.event, TraceEvent::RehashSplit { .. }) && r.at >= spike_start
-                })
-                .map(|r| r.at)
-                .max()
-                .map(|last| last.saturating_since(spike_start).as_millis_f64())
-        })
+    let trace = if needs_trace {
+        sink.snapshot()
     } else {
-        None
+        Vec::new()
     };
+    let reconverge_ms = first_spike_at.and_then(|at| {
+        let spike_start = SimTime::ZERO + at;
+        trace
+            .iter()
+            .filter(|r| matches!(r.event, TraceEvent::RehashSplit { .. }) && r.at >= spike_start)
+            .map(|r| r.at)
+            .max()
+            .map(|last| last.saturating_since(spike_start).as_millis_f64())
+    });
 
     TrialRecord {
         spec: spec.name.clone(),
@@ -458,20 +500,54 @@ fn run_trial(
         intensity,
         rehash_concurrency,
         query_skew,
+        mobility_skew,
         freshness_ms,
         fault_windows,
         report: out.report,
         invariants: out.invariants,
+        replication_ms: arm.replication_ms,
         rehash_denied,
         reconverge_ms,
+        recovery_ms: recovery_spans(&trace),
         wall_ms: wall.elapsed().as_secs_f64() * 1e3,
     }
 }
 
+/// Pairs each tracker's `RecoveryStart` with its next `RecoveryEnd` into
+/// a span, in milliseconds, ascending.
+fn recovery_spans(trace: &[TraceRecord]) -> Vec<f64> {
+    let mut open: HashMap<u64, SimTime> = HashMap::new();
+    let mut spans = Vec::new();
+    for record in trace {
+        match record.event {
+            TraceEvent::RecoveryStart { tracker } => {
+                open.insert(tracker, record.at);
+            }
+            TraceEvent::RecoveryEnd { tracker, .. } => {
+                if let Some(started) = open.remove(&tracker) {
+                    spans.push(record.at.saturating_since(started).as_millis_f64());
+                }
+            }
+            _ => {}
+        }
+    }
+    spans.sort_by(f64::total_cmp);
+    spans
+}
+
+/// The nearest-rank `p`th percentile of ascending samples; 0 without any.
+fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
+    sorted[idx]
+}
+
 /// Formats one column field from a trial, replicating the hand-coded
 /// experiments' formatting exactly (latencies `{:.2}`, percentages and
-/// intensities `{:.1}`, counters as integers, `dnf` for starved or
-/// unsettled metrics).
+/// intensities `{:.1}`, the newer sweep echoes with `{}`, counters as
+/// integers, `dnf` for starved or unsettled metrics).
 fn format_field(field: &str, trial: &TrialRecord) -> String {
     let r = &trial.report;
     match field {
@@ -484,12 +560,23 @@ fn format_field(field: &str, trial: &TrialRecord) -> String {
             .rehash_concurrency
             .map_or_else(|| "-".to_owned(), |v| v.to_string()),
         "query_skew" => format!("{:.1}", trial.query_skew.unwrap_or(0.0)),
+        "mobility_skew" => format!("{}", trial.mobility_skew.unwrap_or(0.0)),
+        "skew" | "crash_frac" => format!("{}", axis_value(&trial.point, field).unwrap_or(0.0)),
+        // `static` marks the churn-free point, as `any` does below.
+        "mean_lifespan_s" => match axis_value(&trial.point, field) {
+            Some(mean_s) if mean_s > 0.0 => format!("{mean_s}"),
+            _ => "static".to_owned(),
+        },
         // `any` marks the unbounded default so a swept 0 (Fresh) stays
         // distinguishable in the table.
         "freshness_ms" => trial
             .freshness_ms
             .map_or_else(|| "any".to_owned(), |v| v.to_string()),
         "scheme" => trial.scheme.clone(),
+        "kind" => trial.kind.clone(),
+        "replication" => trial
+            .replication_ms
+            .map_or_else(|| "off".to_owned(), |v| format!("{v}ms")),
         "seed" => trial.seed.to_string(),
         "issued" => r.locates_issued.to_string(),
         "completed" => r.locates_completed.to_string(),
@@ -509,6 +596,8 @@ fn format_field(field: &str, trial: &TrialRecord) -> String {
         "tree_height" => r.tree_height.to_string(),
         "mean_prefix_bits" => format!("{:.2}", r.mean_prefix_bits),
         "reconverge_ms" => trial.reconverge_ms.map_or_else(|| "dnf".to_owned(), ms),
+        "rec_p50_ms" => ms(percentile(&trial.recovery_ms, 50.0)),
+        "rec_p95_ms" => ms(percentile(&trial.recovery_ms, 95.0)),
         "messages_sent" => r.messages_sent.to_string(),
         "messages_remote" => r.messages_remote.to_string(),
         "messages_failed" => r.messages_failed.to_string(),

@@ -38,6 +38,10 @@ pub const AXIS_PARAMS: &[&str] = &[
     "rehash_concurrency",
     "query_skew",
     "freshness_ms",
+    "mobility_skew",
+    "skew",
+    "mean_lifespan_s",
+    "crash_frac",
 ];
 
 /// Column fields the runner can format, with their formatting rules
@@ -50,7 +54,13 @@ pub const COLUMN_FIELDS: &[&str] = &[
     "rehash_concurrency",
     "query_skew",
     "freshness_ms",
+    "mobility_skew",
+    "skew",
+    "mean_lifespan_s",
+    "crash_frac",
     "scheme",
+    "kind",
+    "replication",
     "seed",
     // Locate outcome counters and latency metrics.
     "issued",
@@ -72,6 +82,8 @@ pub const COLUMN_FIELDS: &[&str] = &[
     "tree_height",
     "mean_prefix_bits",
     "reconverge_ms",
+    "rec_p50_ms",
+    "rec_p95_ms",
     // Traffic, mail, and durability.
     "messages_sent",
     "messages_remote",
@@ -193,7 +205,8 @@ pub struct ScenarioSpec {
     /// `violations` columns).
     pub audit: Option<bool>,
     /// Structured-trace ring capacity. Absent = tracing only when a
-    /// column needs it (`reconverge_ms`), with a 1 Mi-record ring.
+    /// column needs it (`reconverge_ms`, `rec_p50_ms`, `rec_p95_ms`),
+    /// with a 1 Mi-record ring.
     pub trace_buffer: Option<usize>,
     /// The output columns, left to right.
     pub columns: Vec<ColumnSpec>,
@@ -247,6 +260,20 @@ pub struct WorkloadSpec {
     /// absent accepts anything (`Any`). A `freshness_ms` sweep axis
     /// overrides this per grid point.
     pub freshness_ms: Option<u64>,
+}
+
+impl WorkloadSpec {
+    /// Whether the workload fixes the named point field (one a sweep
+    /// axis could otherwise supply).
+    fn fixes(&self, field: &str) -> bool {
+        match field {
+            "residence_ms" => self.residence_ms.is_some(),
+            "query_skew" => self.query_skew.is_some(),
+            "mobility_skew" => self.mobility_skew.is_some(),
+            "freshness_ms" => self.freshness_ms.is_some(),
+            _ => false,
+        }
+    }
 }
 
 /// One sweep axis: a parameter name from [`AXIS_PARAMS`] and the values
@@ -307,6 +334,9 @@ pub struct FaultSpec {
     /// Deterministic WAN link sever/heal cycles between two regions
     /// (needs `workload.regions`).
     pub region_sever: Option<RegionSeverFaults>,
+    /// Nodes crash together, losing their soft state, and restart
+    /// (needs a `crash_frac` sweep axis).
+    pub node_crash: Option<NodeCrashFaults>,
 }
 
 /// Randomized chaos: partitions, crashes/restarts, latency spikes, loss
@@ -352,6 +382,18 @@ pub struct RegionSeverFaults {
     /// Back-to-back sever/heal cycles; absent = 1. Every cycle's heal
     /// must land within the run.
     pub cycles: Option<u32>,
+}
+
+/// The listed nodes crash together at `crash_frac` of the run — a sweep
+/// axis, as chaos intensity can be — and restart `restart_ms` later with
+/// their soft state lost: every tracker they hosted forgets its records
+/// and buffered mail.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct NodeCrashFaults {
+    /// The node ids that crash.
+    pub nodes: Vec<u32>,
+    /// Restart delay after the crash, milliseconds.
+    pub restart_ms: u64,
 }
 
 /// A flash crowd riding the steady workload: timing as fractions of the
@@ -408,6 +450,10 @@ const POINT_FIELDS: &[&str] = &[
     "rehash_concurrency",
     "query_skew",
     "freshness_ms",
+    "mobility_skew",
+    "skew",
+    "mean_lifespan_s",
+    "crash_frac",
     "scheme",
     "seed",
 ];
@@ -643,6 +689,22 @@ impl ScenarioSpec {
                     "either fix workload.freshness_ms or sweep it, not both",
                 ));
             }
+            if axis.param == "skew"
+                && axes
+                    .iter()
+                    .any(|a| a.param == "query_skew" || a.param == "mobility_skew")
+            {
+                return Err(SpecError::at(
+                    path,
+                    "skew sets query_skew and mobility_skew together; sweep one or the other",
+                ));
+            }
+            if axis.param == "mean_lifespan_s" && self.workload.churn_lifespan_ms.is_some() {
+                return Err(SpecError::at(
+                    path,
+                    "either fix workload.churn_lifespan_ms or sweep exponential lifespans, not both",
+                ));
+            }
             if axis.values.is_empty() {
                 return Err(SpecError::at(
                     format!("sweep[{i}].values"),
@@ -675,8 +737,21 @@ impl ScenarioSpec {
                 if axis.param == "intensity" && !(0.0..=1.0).contains(&v) {
                     return Err(SpecError::at(vpath, "intensity lives in [0, 1]"));
                 }
-                if axis.param == "query_skew" && v < 0.0 {
+                if matches!(axis.param.as_str(), "query_skew" | "mobility_skew" | "skew") && v < 0.0
+                {
                     return Err(SpecError::at(vpath, "Zipf exponents are >= 0"));
+                }
+                if axis.param == "mean_lifespan_s" && v < 0.0 {
+                    return Err(SpecError::at(
+                        vpath,
+                        "mean lifespans are >= 0 seconds (0 means no churn)",
+                    ));
+                }
+                if axis.param == "crash_frac" && !(v > 0.0 && v < 1.0) {
+                    return Err(SpecError::at(
+                        vpath,
+                        "crash_frac lives in (0, 1): the crash lands inside the run",
+                    ));
                 }
             }
         }
@@ -780,39 +855,43 @@ impl ScenarioSpec {
     }
 
     fn validate_faults(&self) -> Result<(), SpecError> {
-        let swept_intensity = self
-            .sweep
-            .as_ref()
-            .is_some_and(|axes| axes.iter().any(|a| a.param == "intensity"));
-        let Some(faults) = &self.faults else {
-            if swept_intensity {
-                return Err(SpecError::at(
-                    "sweep",
-                    "an intensity axis needs faults.chaos to drive",
-                ));
-            }
+        let swept = |param: &str| {
+            self.sweep
+                .as_ref()
+                .is_some_and(|axes| axes.iter().any(|a| a.param == param))
+        };
+        let swept_intensity = swept("intensity");
+        let faults = self.faults.as_ref();
+        if swept_intensity && faults.is_none_or(|f| f.chaos.is_none()) {
+            return Err(SpecError::at(
+                "sweep",
+                "an intensity axis needs faults.chaos to drive",
+            ));
+        }
+        if swept("crash_frac") && faults.is_none_or(|f| f.node_crash.is_none()) {
+            return Err(SpecError::at(
+                "sweep",
+                "a crash_frac axis needs faults.node_crash to time",
+            ));
+        }
+        let Some(faults) = faults else {
             return Ok(());
         };
         let arms = usize::from(faults.chaos.is_some())
             + usize::from(faults.regional_partition.is_some())
-            + usize::from(faults.region_sever.is_some());
+            + usize::from(faults.region_sever.is_some())
+            + usize::from(faults.node_crash.is_some());
         if arms > 1 {
             return Err(SpecError::at(
                 "faults",
-                "set exactly one of chaos, regional_partition, or region_sever",
+                "set exactly one of chaos, regional_partition, region_sever, or node_crash",
             ));
         }
         if arms == 0 {
             return Err(SpecError::at(
                 "faults",
-                "set one of chaos, regional_partition, or region_sever \
+                "set one of chaos, regional_partition, region_sever, or node_crash \
                  (or drop the faults block)",
-            ));
-        }
-        if faults.chaos.is_none() && swept_intensity {
-            return Err(SpecError::at(
-                "sweep",
-                "an intensity axis needs faults.chaos to drive",
             ));
         }
         if let Some(chaos) = &faults.chaos {
@@ -935,6 +1014,33 @@ impl ScenarioSpec {
                 ));
             }
         }
+        if let Some(crash) = &faults.node_crash {
+            if !swept("crash_frac") {
+                return Err(SpecError::at(
+                    "faults.node_crash",
+                    "node crashes are timed by a crash_frac sweep axis; add one",
+                ));
+            }
+            let nodes = self.workload.nodes.unwrap_or(16);
+            if crash.nodes.is_empty() {
+                return Err(SpecError::at(
+                    "faults.node_crash.nodes",
+                    "needs at least one node",
+                ));
+            }
+            if let Some(node) = crash.nodes.iter().find(|&&node| node >= nodes) {
+                return Err(SpecError::at(
+                    "faults.node_crash.nodes",
+                    format!("node {node} is outside the {nodes}-node topology"),
+                ));
+            }
+            if crash.restart_ms == 0 {
+                return Err(SpecError::at(
+                    "faults.node_crash.restart_ms",
+                    "must be positive",
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -1054,12 +1160,18 @@ impl ScenarioSpec {
                         ));
                     }
                 }
-                "residence_ms"
-                    if !swept.contains(&"residence_ms") && self.workload.residence_ms.is_none() =>
+                field @ ("residence_ms" | "query_skew" | "mobility_skew" | "freshness_ms")
+                    if !swept.contains(&field) && !self.workload.fixes(field) =>
                 {
                     return Err(SpecError::at(
                         path,
-                        "a residence_ms column needs workload.residence_ms or a sweep axis",
+                        format!("a {field} column needs workload.{field} or a sweep axis"),
+                    ));
+                }
+                field @ ("skew" | "mean_lifespan_s" | "crash_frac") if !swept.contains(&field) => {
+                    return Err(SpecError::at(
+                        path,
+                        format!("a {field} column needs a {field} sweep axis"),
                     ));
                 }
                 "rehash_concurrency" => {
@@ -1070,22 +1182,6 @@ impl ScenarioSpec {
                             "a rehash_concurrency column needs a sweep axis or a scheme setting",
                         ));
                     }
-                }
-                "query_skew"
-                    if !swept.contains(&"query_skew") && self.workload.query_skew.is_none() =>
-                {
-                    return Err(SpecError::at(
-                        path,
-                        "a query_skew column needs workload.query_skew or a sweep axis",
-                    ));
-                }
-                "freshness_ms"
-                    if !swept.contains(&"freshness_ms") && self.workload.freshness_ms.is_none() =>
-                {
-                    return Err(SpecError::at(
-                        path,
-                        "a freshness_ms column needs workload.freshness_ms or a sweep axis",
-                    ));
                 }
                 "reconverge_ms" if self.spikes.as_ref().is_none_or(Vec::is_empty) => {
                     return Err(SpecError::at(
@@ -1176,10 +1272,16 @@ fn check_keys(value: &Value, source: &str) -> Result<(), SpecError> {
         "threshold_max",
         "threshold_min",
     ];
-    const FAULT_KEYS: &[&str] = &["chaos", "regional_partition", "region_sever"];
-    const CHAOS_KEYS: &[&str] = &["seed", "intensity"];
-    const PARTITION_KEYS: &[&str] = &["groups", "at_frac", "heal_frac"];
-    const SEVER_KEYS: &[&str] = &["a", "b", "at_frac", "heal_frac", "cycles"];
+    const FAULT_KEYS: &[&str] = &["chaos", "regional_partition", "region_sever", "node_crash"];
+    const FAULT_ARM_KEYS: &[(&str, &[&str])] = &[
+        ("chaos", &["seed", "intensity"]),
+        ("regional_partition", &["groups", "at_frac", "heal_frac"]),
+        (
+            "region_sever",
+            &["a", "b", "at_frac", "heal_frac", "cycles"],
+        ),
+        ("node_crash", &["nodes", "restart_ms"]),
+    ];
     const SPIKE_KEYS: &[&str] = &[
         "at_frac",
         "span_frac",
@@ -1211,34 +1313,12 @@ fn check_keys(value: &Value, source: &str) -> Result<(), SpecError> {
         if !matches!(faults, Value::Null) {
             let map = expect_map(faults, "faults")?;
             allow_keys("faults", map, FAULT_KEYS, source)?;
-            if let Some(chaos) = get(map, "chaos") {
-                if !matches!(chaos, Value::Null) {
-                    allow_keys(
-                        "faults.chaos",
-                        expect_map(chaos, "faults.chaos")?,
-                        CHAOS_KEYS,
-                        source,
-                    )?;
-                }
-            }
-            if let Some(partition) = get(map, "regional_partition") {
-                if !matches!(partition, Value::Null) {
-                    allow_keys(
-                        "faults.regional_partition",
-                        expect_map(partition, "faults.regional_partition")?,
-                        PARTITION_KEYS,
-                        source,
-                    )?;
-                }
-            }
-            if let Some(sever) = get(map, "region_sever") {
-                if !matches!(sever, Value::Null) {
-                    allow_keys(
-                        "faults.region_sever",
-                        expect_map(sever, "faults.region_sever")?,
-                        SEVER_KEYS,
-                        source,
-                    )?;
+            for (arm, keys) in FAULT_ARM_KEYS {
+                if let Some(value) = get(map, arm) {
+                    if !matches!(value, Value::Null) {
+                        let path = format!("faults.{arm}");
+                        allow_keys(&path, expect_map(value, &path)?, keys, source)?;
+                    }
                 }
             }
         }
@@ -1355,6 +1435,61 @@ mod tests {
         let source = minimal().replace("\"hashed\"", "\"hasjed\"");
         let err = ScenarioSpec::load_str(&source).expect_err("rejects");
         assert_eq!(err.path, "schemes[0].kind");
+    }
+
+    /// Two nodes crash at a swept fraction of the run (the E15 shape).
+    fn crashing() -> &'static str {
+        r#"{
+            "name": "crash",
+            "title": "crash",
+            "workload": {"agents": 100},
+            "sweep": [{"param": "crash_frac", "values": [0.5]}],
+            "schemes": [{"kind": "hashed"}],
+            "faults": {"node_crash": {"nodes": [0, 1], "restart_ms": 500}},
+            "columns": [{"field": "crash_frac"}, {"field": "rec_p50_ms"}]
+        }"#
+    }
+
+    #[test]
+    fn node_crash_spec_loads() {
+        ScenarioSpec::load_str(crashing()).expect("loads");
+    }
+
+    #[test]
+    fn node_crash_beside_another_fault_arm_is_rejected() {
+        let source = crashing().replace(
+            r#""node_crash""#,
+            r#""chaos": {"seed": 1, "intensity": 0.5}, "node_crash""#,
+        );
+        let err = ScenarioSpec::load_str(&source).expect_err("rejects");
+        assert_eq!(err.path, "faults");
+    }
+
+    #[test]
+    fn crash_frac_outside_the_run_is_rejected() {
+        for bad in ["0.0", "1.0", "1.5"] {
+            let source = crashing().replace("[0.5]", &format!("[{bad}]"));
+            let err = ScenarioSpec::load_str(&source).expect_err("rejects");
+            assert_eq!(err.path, "sweep[0].values[0]", "crash_frac {bad}");
+        }
+    }
+
+    #[test]
+    fn crash_node_outside_the_topology_is_rejected() {
+        let source = crashing().replace("[0, 1]", "[0, 16]");
+        let err = ScenarioSpec::load_str(&source).expect_err("rejects");
+        assert_eq!(err.path, "faults.node_crash.nodes");
+        assert!(err.message.contains("node 16"), "{err}");
+    }
+
+    #[test]
+    fn crash_frac_axis_without_node_crash_is_rejected() {
+        let source = crashing().replace(
+            r#""faults": {"node_crash": {"nodes": [0, 1], "restart_ms": 500}},"#,
+            "",
+        );
+        let err = ScenarioSpec::load_str(&source).expect_err("rejects");
+        assert_eq!(err.path, "sweep");
     }
 
     #[test]

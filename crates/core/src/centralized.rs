@@ -17,7 +17,7 @@ use agentrack_sim::{MetricsRegistry, TraceEvent};
 
 use crate::config::LocationConfig;
 use crate::mailbox::Mailbox;
-use crate::retry::{Attempt, LocateTracker};
+use crate::retry::{on_register_ack, on_update_bounce, Attempt, LocateTracker};
 use crate::scheme::{
     ClientEvent, ClientFactory, DirectoryClient, LocationScheme, SchemeStats, SharedSchemeStats,
 };
@@ -403,14 +403,7 @@ impl DirectoryClient for CentralizedClient {
         };
         trace_recv(ctx, &msg);
         match msg {
-            Wire::RegisterAck { agent } => {
-                if agent == ctx.self_id() && !self.registered {
-                    self.registered = true;
-                    ClientEvent::Registered
-                } else {
-                    ClientEvent::Consumed
-                }
-            }
+            Wire::RegisterAck { agent } => on_register_ack(ctx, agent, &mut self.registered),
             located @ Wire::Located { .. } => self.locates.on_located(ctx, located),
             Wire::MailDrop { from, data } => ClientEvent::Mail { from, data },
             Wire::NotFound { token, .. } => {
@@ -428,17 +421,7 @@ impl DirectoryClient for CentralizedClient {
         _node: NodeId,
         payload: &Payload,
     ) -> ClientEvent {
-        // The central tracker is static; bounces only occur under injected
-        // faults. Locates recover through their retry timers; updates are
-        // resent immediately.
-        match Wire::from_payload(payload) {
-            Some(Wire::Update { .. } | Wire::Register { .. }) => {
-                self.moved(ctx);
-                ClientEvent::Consumed
-            }
-            Some(_) => ClientEvent::Consumed,
-            None => ClientEvent::NotMine,
-        }
+        on_update_bounce(payload, || self.moved(ctx))
     }
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, timer: TimerId) -> ClientEvent {

@@ -21,7 +21,7 @@ use agentrack_platform::{Agent, AgentCtx, AgentId, NodeId, Payload, Spawner, Tim
 use agentrack_sim::MetricsRegistry;
 
 use crate::config::LocationConfig;
-use crate::retry::{Attempt, LocateTracker};
+use crate::retry::{on_register_ack, on_update_bounce, Attempt, LocateTracker};
 use crate::scheme::{
     ClientEvent, ClientFactory, DirectoryClient, LocationScheme, SchemeStats, SharedSchemeStats,
 };
@@ -389,14 +389,7 @@ impl DirectoryClient for ForwardingClient {
         };
         trace_recv(ctx, &msg);
         match msg {
-            Wire::RegisterAck { agent } => {
-                if agent == ctx.self_id() && !self.registered {
-                    self.registered = true;
-                    ClientEvent::Registered
-                } else {
-                    ClientEvent::Consumed
-                }
-            }
+            Wire::RegisterAck { agent } => on_register_ack(ctx, agent, &mut self.registered),
             located @ Wire::Located { .. } => self.locates.on_located(ctx, located),
             Wire::NotFound { token, .. } => {
                 let send = send_locate(&self.names, &self.forwarders);
@@ -413,14 +406,7 @@ impl DirectoryClient for ForwardingClient {
         _node: NodeId,
         payload: &Payload,
     ) -> ClientEvent {
-        match Wire::from_payload(payload) {
-            Some(Wire::Update { .. } | Wire::Register { .. }) => {
-                self.announce_here(ctx);
-                ClientEvent::Consumed
-            }
-            Some(_) => ClientEvent::Consumed,
-            None => ClientEvent::NotMine,
-        }
+        on_update_bounce(payload, || self.announce_here(ctx))
     }
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, timer: TimerId) -> ClientEvent {

@@ -23,7 +23,7 @@ use agentrack_sim::MetricsRegistry;
 
 use crate::centralized::CentralBehavior;
 use crate::config::LocationConfig;
-use crate::retry::{Attempt, LocateTracker};
+use crate::retry::{on_register_ack, on_update_bounce, Attempt, LocateTracker};
 use crate::scheme::{
     ClientEvent, ClientFactory, DirectoryClient, LocationScheme, SchemeStats, SharedSchemeStats,
 };
@@ -262,14 +262,7 @@ impl DirectoryClient for HomeRegistryClient {
         };
         trace_recv(ctx, &msg);
         match msg {
-            Wire::RegisterAck { agent } => {
-                if agent == ctx.self_id() && !self.registered {
-                    self.registered = true;
-                    ClientEvent::Registered
-                } else {
-                    ClientEvent::Consumed
-                }
-            }
+            Wire::RegisterAck { agent } => on_register_ack(ctx, agent, &mut self.registered),
             located @ Wire::Located { .. } => self.locates.on_located(ctx, located),
             Wire::NotFound { token, .. } => {
                 let send = send_locate(&self.names, &self.registries);
@@ -286,16 +279,7 @@ impl DirectoryClient for HomeRegistryClient {
         _node: NodeId,
         payload: &Payload,
     ) -> ClientEvent {
-        // Registries are static; only injected faults bounce. Updates are
-        // resent; locates recover via their timers.
-        match Wire::from_payload(payload) {
-            Some(Wire::Update { .. } | Wire::Register { .. }) => {
-                self.moved(ctx);
-                ClientEvent::Consumed
-            }
-            Some(_) => ClientEvent::Consumed,
-            None => ClientEvent::NotMine,
-        }
+        on_update_bounce(payload, || self.moved(ctx))
     }
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, timer: TimerId) -> ClientEvent {

@@ -21,10 +21,15 @@
 //! second one, or the budget burns twice as fast as intended. The tracker
 //! therefore stamps each armed timer with the attempt number it guards
 //! and ignores timers whose attempt has already progressed.
+//!
+//! The three baseline clients (centralized, home registry, forwarding)
+//! also share their registration handling here: [`on_register_ack`] and
+//! [`on_update_bounce`]. The hashed client keeps its own, which adds a
+//! registration watchdog and IAgent-cache repair.
 
 use std::collections::HashMap;
 
-use agentrack_platform::{AgentCtx, AgentId, NodeId, TimerId};
+use agentrack_platform::{AgentCtx, AgentId, NodeId, Payload, TimerId};
 use agentrack_sim::{CorrId, GiveUpCause, MetricsRegistry, SimDuration, SimTime, TraceEvent};
 
 use crate::config::LocationConfig;
@@ -357,6 +362,37 @@ impl LocateTracker {
     #[must_use]
     pub fn freshness(&self, token: u64) -> Option<Freshness> {
         self.ops.get(&token).map(|op| op.freshness)
+    }
+}
+
+/// A baseline client received a `RegisterAck` for `agent`: the first ack
+/// of its own registration sets `registered` and reports
+/// [`ClientEvent::Registered`]; a duplicate or foreign ack is consumed.
+pub(crate) fn on_register_ack(
+    ctx: &AgentCtx<'_>,
+    agent: AgentId,
+    registered: &mut bool,
+) -> ClientEvent {
+    if agent == ctx.self_id() && !*registered {
+        *registered = true;
+        ClientEvent::Registered
+    } else {
+        ClientEvent::Consumed
+    }
+}
+
+/// A baseline client's message bounced. Their trackers never move, so
+/// only injected faults bounce: a lost `Update` or `Register` is
+/// re-announced through `announce`, anything else is consumed (a lost
+/// locate recovers through its retry timer).
+pub(crate) fn on_update_bounce(payload: &Payload, announce: impl FnOnce()) -> ClientEvent {
+    match Wire::from_payload(payload) {
+        Some(Wire::Update { .. } | Wire::Register { .. }) => {
+            announce();
+            ClientEvent::Consumed
+        }
+        Some(_) => ClientEvent::Consumed,
+        None => ClientEvent::NotMine,
     }
 }
 

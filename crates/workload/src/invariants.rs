@@ -235,11 +235,19 @@ pub(crate) fn check(
         platform.run_for(DRAIN_STEP);
     }
 
-    // The audited population: agents still alive (churn may have replaced
-    // some) on nodes that are up. With a fully-healing plan that is every
-    // survivor; under an unhealed plan, stranded agents are unreachable by
-    // construction and excluded.
-    let reachable: Vec<AgentId> = tagents
+    // Under churn the original spawn list is long dead: audit the live
+    // roster instead, read after the drain so that a successor whose
+    // creation was still in flight when the run ended is counted too.
+    let roster = if scenario.churn_lifespan.is_some() {
+        population.snapshot()
+    } else {
+        tagents.to_vec()
+    };
+
+    // The audited population: agents still alive on nodes that are up.
+    // With a fully-healing plan that is every survivor; under an unhealed
+    // plan, stranded agents are unreachable by construction and excluded.
+    let reachable: Vec<AgentId> = roster
         .iter()
         .copied()
         .filter(|&id| {
@@ -335,7 +343,7 @@ pub(crate) fn check(
     // Live trackers' record-count gauges (refreshed on their periodic
     // check timer) must not exceed the live population: an agent counted
     // twice means two IAgents both believe they own it.
-    let live_agents = tagents.iter().filter(|&&id| platform.is_live(id)).count();
+    let live_agents = roster.iter().filter(|&&id| platform.is_live(id)).count();
     let records_held: u64 = scheme
         .registry()
         .snapshot()

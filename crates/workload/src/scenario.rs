@@ -607,14 +607,8 @@ impl Scenario {
             samples_retained: samples.len() as u64,
             samples_seen: m.samples_seen,
         });
-        // The roster the invariant audit probes: under churn the original
-        // spawn list is long dead — hand back the live successors instead.
-        // The population handle lets the audit freeze churn and mobility.
-        let tagents = if self.churn_lifespan.is_some() {
-            population.snapshot()
-        } else {
-            tagents
-        };
+        // The population handle lets the audit freeze churn and mobility
+        // and read the live roster.
         (report, samples, platform, tagents, population)
     }
 }

@@ -1,9 +1,10 @@
 //! The post-quiesce audit judges the directory, not its queue: a
 //! saturated tracker that holds every record audits clean once the
 //! workload stops and its backlog drains, while a record that is really
-//! gone is still reported.
+//! gone is still reported. Under churn, an agent still being created when
+//! the run ends is audited like any other live agent.
 
-use agentrack_core::{CentralizedScheme, LocationConfig};
+use agentrack_core::{CentralizedScheme, HashedScheme, LocationConfig};
 use agentrack_platform::NodeId;
 use agentrack_sim::{DurationDist, FaultEvent, FaultKind, FaultPlan, SimDuration, SimTime};
 use agentrack_workload::{AuditOptions, InvariantReport, RunOptions, Scenario, ScenarioReport};
@@ -78,4 +79,28 @@ fn lost_record_is_still_reported() {
         "every agent off the crashed node lost its record: {invariants:?}"
     );
     assert!(!invariants.ok(), "lost records must be reported");
+}
+
+#[test]
+fn churn_successor_in_flight_at_the_end_is_audited() {
+    // Agents die every ~0.3 s on average, so when the run ends some
+    // successor's creation is still crossing the network; it joins the
+    // roster and registers only after that. The audit must count it
+    // among the live agents, not report its record as a duplicate.
+    let mut scenario = Scenario::new("fast-churn")
+        .with_agents(60)
+        .with_residence_ms(300)
+        .with_queries(60)
+        .with_seconds(4.0, 2.0);
+    scenario.churn_lifespan = Some(DurationDist::Exponential {
+        mean: SimDuration::from_millis(300),
+    });
+    let mut scheme = HashedScheme::new(LocationConfig::default());
+    let out = scenario.run_with(
+        &mut scheme,
+        RunOptions::new().with_audit(AuditOptions::default()),
+    );
+    let invariants = out.invariants.expect("audit was requested");
+    assert!(invariants.ok(), "{:?}", invariants.violations);
+    assert_eq!(invariants.records_held, invariants.live_agents as u64);
 }

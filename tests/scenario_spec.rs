@@ -20,7 +20,13 @@ fn load_spec(name: &str) -> ScenarioSpec {
 
 #[test]
 fn spec_runner_is_deterministic_across_job_counts() {
-    for name in ["diurnal", "hot_key_churn", "chaos", "rehash-spike"] {
+    for name in [
+        "diurnal",
+        "hot_key_churn",
+        "chaos",
+        "rehash-spike",
+        "recovery",
+    ] {
         let spec = load_spec(name);
         let sequential = run_spec(&spec, Fidelity::Quick, 1);
         let parallel = run_spec(&spec, Fidelity::Quick, all_cores());

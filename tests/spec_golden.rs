@@ -1,6 +1,7 @@
 //! Golden-file tests for the spec-driven experiments: the paper's E1 and
-//! E2, the ablations and sweeps that `repro` runs from `specs/` (E3–E5,
-//! E10, E13, E17) and the spec-only workloads (E18a–E18d).
+//! E2, the ablations, sweeps and extensions that `repro` runs from
+//! `specs/` (E3–E6, E8–E10, E13, E15, E17) and the spec-only workloads
+//! (E18a–E18d).
 //!
 //! Each committed CSV under `tests/golden/` is the quick-fidelity table
 //! of one spec in `specs/`, under the spec's own name. The simulation is
@@ -79,4 +80,8 @@ goldens! {
     golden_ablation_planning => "ablation-planning",
     golden_chaos => "chaos",
     golden_rehash_spike => "rehash-spike",
+    golden_skew => "skew",
+    golden_churn => "churn",
+    golden_locality => "locality",
+    golden_recovery => "recovery",
 }

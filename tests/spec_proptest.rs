@@ -4,7 +4,8 @@
 //! field — never a panic.
 
 use agentrack_bench::spec::{
-    AxisSpec, ChaosFaults, ColumnSpec, FaultSpec, SchemeSpec, SpikeSpec, WorkloadSpec,
+    AxisSpec, ChaosFaults, ColumnSpec, FaultSpec, NodeCrashFaults, SchemeSpec, SpikeSpec,
+    WorkloadSpec,
 };
 use agentrack_bench::ScenarioSpec;
 use proptest::prelude::*;
@@ -47,6 +48,16 @@ fn plain_workload(agents: usize) -> WorkloadSpec {
         regions: None,
         inter_region_ms: None,
         freshness_ms: None,
+    }
+}
+
+/// A fault block with every arm off; tests switch on the one they need.
+fn plain_faults() -> FaultSpec {
+    FaultSpec {
+        chaos: None,
+        regional_partition: None,
+        region_sever: None,
+        node_crash: None,
     }
 }
 
@@ -119,6 +130,10 @@ fn arb_sweep() -> impl Strategy<Value = Option<Vec<AxisSpec>>> {
         proptest::collection::vec(100u64..900, 1..4).prop_map(|vs| vec![AxisSpec {
             param: "residence_ms".to_string(),
             values: vs.into_iter().map(|v| v as f64).collect(),
+        }]),
+        (0usize..3, proptest::collection::vec(0u64..30, 1..4)).prop_map(|(p, vs)| vec![AxisSpec {
+            param: ["skew", "mobility_skew", "mean_lifespan_s"][p].to_string(),
+            values: vs.into_iter().map(|v| v as f64 / 10.0).collect(),
         }]),
     ])
 }
@@ -220,11 +235,31 @@ fn arb_breakage() -> impl Strategy<Value = Breakage> {
                         seed: 7,
                         intensity: Some(2.0),
                     }),
-                    regional_partition: None,
-                    region_sever: None,
+                    ..plain_faults()
                 });
             },
             "intensity",
+        ),
+        (
+            |s| {
+                s.sweep = Some(vec![AxisSpec {
+                    param: "crash_frac".to_string(),
+                    values: vec![0.5],
+                }]);
+            },
+            "sweep",
+        ),
+        (
+            |s| {
+                s.faults = Some(FaultSpec {
+                    node_crash: Some(NodeCrashFaults {
+                        nodes: vec![0],
+                        restart_ms: 500,
+                    }),
+                    ..plain_faults()
+                });
+            },
+            "node_crash",
         ),
     ];
     (0..cases.len()).prop_map(move |i| cases[i])
