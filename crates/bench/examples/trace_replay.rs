@@ -1,15 +1,15 @@
-//! Runs a small workload with structured tracing enabled and reconstructs
-//! one locate's multi-hop path (client → LHAgent → IAgent → answer) from
-//! the trace ring by correlation id.
+//! Runs a small workload with structured tracing enabled, finds the
+//! slowest locate, prints its critical-path breakdown, and replays its
+//! multi-hop path (client → LHAgent → IAgent → answer) from the trace
+//! ring by correlation id. Exits non-zero when no locate was traced.
 //!
 //! ```text
 //! cargo run --release -p agentrack-bench --example trace_replay
 //! ```
 
-use std::collections::BTreeMap;
-
 use agentrack_core::{HashedScheme, LocationConfig};
 use agentrack_sim::{TraceEvent, TraceRecord, TraceSink};
+use agentrack_trace_analysis::{build_spans, render_breakdown, slowest};
 use agentrack_workload::{RunOptions, Scenario};
 
 fn main() {
@@ -22,27 +22,27 @@ fn main() {
     let report = scenario
         .run_with(&mut scheme, RunOptions::new().with_sink(sink.clone()))
         .report;
+    let records = sink.snapshot();
     println!(
         "completed {} locates; {} trace records buffered ({} overwritten)",
         report.locates_completed,
-        sink.snapshot().len(),
+        records.len(),
         sink.dropped()
     );
 
-    // Group records by correlation id and replay the longest path — the
-    // most interesting locate: stale copies, retries, chases.
-    let mut by_corr: BTreeMap<String, Vec<TraceRecord>> = BTreeMap::new();
-    for r in sink.snapshot() {
-        if let Some(corr) = r.event.corr() {
-            by_corr.entry(corr.to_string()).or_default().push(r);
-        }
-    }
-    let Some((corr, path)) = by_corr.into_iter().max_by_key(|(_, v)| v.len()) else {
-        println!("no correlated records captured");
-        return;
+    let trees = build_spans(&records);
+    let Some(worst) = slowest(&trees) else {
+        eprintln!("error: no locate was traced");
+        std::process::exit(1);
     };
-    println!("\nlongest locate path ({corr}, {} events):", path.len());
-    for r in &path {
+    println!("\nslowest locate, phase by phase:");
+    print!("{}", render_breakdown(worst));
+    let path: Vec<&TraceRecord> = records
+        .iter()
+        .filter(|r| r.event.corr() == Some(worst.corr))
+        .collect();
+    println!("\nits path ({} events):", path.len());
+    for r in path {
         let t = r.at.as_secs_f64();
         match &r.event {
             TraceEvent::MessageSend {

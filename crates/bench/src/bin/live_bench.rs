@@ -39,11 +39,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use agentrack_platform::{
-    Agent, AgentCtx, AgentId, LiveConfig, LivePlatform, LiveStats, NodeId, OpKind, Payload, SlowOp,
-    TelemetrySnapshot, TraceSink,
+    to_flight_json, to_flight_perfetto, Agent, AgentCtx, AgentId, LiveConfig, LivePlatform,
+    LiveStats, NodeId, Payload, TelemetrySnapshot, TraceSink,
 };
 use agentrack_sim::{LogHistogram, SimRng, Zipf};
-use agentrack_trace_analysis::{to_flight_json, to_flight_perfetto, FlightOp};
 
 /// The bench's only behaviour: migrate wherever a `u32` payload says.
 struct Sink;
@@ -397,26 +396,6 @@ fn check_snapshot(snap: &TelemetrySnapshot, stats: &LiveStats) -> Result<(), Str
     Ok(())
 }
 
-/// Maps the platform's slow-op capture into the exporter's plain rows.
-fn flight_rows(snap: &TelemetrySnapshot) -> Vec<FlightOp> {
-    snap.slow_ops.iter().map(flight_row).collect()
-}
-
-fn flight_row(op: &SlowOp) -> FlightOp {
-    FlightOp {
-        kind: match op.kind {
-            OpKind::Deliver => "deliver",
-            OpKind::Move => "move",
-            OpKind::Timer => "timer",
-        },
-        node: op.node,
-        agent: op.agent,
-        enqueued_ns: op.enqueued_ns,
-        started_ns: op.started_ns,
-        ended_ns: op.ended_ns,
-    }
-}
-
 /// `--check` mode: the assertions that make the smoke run a test.
 fn check_invariants(platform: &LivePlatform, opts: &Opts, stats: &LiveStats) -> Result<(), String> {
     if stats.agents_activated != opts.agents {
@@ -683,11 +662,12 @@ fn main() -> ExitCode {
     if let Some(prefix) = &opts.flight_out {
         match &main_arm.snapshot {
             Some(snap) if !snap.slow_ops.is_empty() => {
-                let rows = flight_rows(snap);
                 let json_path = format!("{prefix}.json");
                 let perfetto_path = format!("{prefix}.perfetto.json");
-                if let Err(e) = std::fs::write(&json_path, to_flight_json(&rows))
-                    .and_then(|()| std::fs::write(&perfetto_path, to_flight_perfetto(&rows)))
+                if let Err(e) =
+                    std::fs::write(&json_path, to_flight_json(&snap.slow_ops)).and_then(|()| {
+                        std::fs::write(&perfetto_path, to_flight_perfetto(&snap.slow_ops))
+                    })
                 {
                     eprintln!("live_bench: cannot write flight capture: {e}");
                     return ExitCode::FAILURE;

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use agentrack_platform::{Agent, AgentCtx, AgentId, NodeId, Payload, Spawner, TimerId};
-use agentrack_sim::{MetricsRegistry, TraceEvent};
+use agentrack_sim::MetricsRegistry;
 
 use crate::config::LocationConfig;
 use crate::mailbox::Mailbox;
@@ -36,12 +36,7 @@ impl CentralBehavior {
     /// Creates an empty tracker.
     #[must_use]
     pub fn new() -> Self {
-        CentralBehavior {
-            records: HashMap::new(),
-            mailbox: Mailbox::new(agentrack_sim::SimDuration::from_secs(10)),
-            shared: SharedSchemeStats::new(),
-            requests_seen: 0,
-        }
+        Self::default()
     }
 
     /// Reports mail losses and per-tracker metrics into the scheme's
@@ -52,44 +47,12 @@ impl CentralBehavior {
         self
     }
 
-    /// Buffers mail for `target`, counting the buffering in the metrics
-    /// registry and the event trace.
-    fn buffer_mail(
-        &mut self,
-        ctx: &mut AgentCtx<'_>,
-        target: AgentId,
-        from: AgentId,
-        data: Vec<u8>,
-    ) {
-        self.mailbox.push(ctx.now(), target, from, data);
-        let occupancy = self.mailbox.len();
-        let me = ctx.self_id().raw();
-        self.shared.registry().update_tracker(me, |t| {
-            t.mail_buffered += 1;
-            t.observe_mailbox(occupancy);
-        });
-        ctx.trace().emit(ctx.now(), || TraceEvent::MailBuffered {
-            tracker: me,
-            target: target.raw(),
-            occupancy,
-        });
-    }
-
     /// Wipes the tracker's soft state after a crash that lost it: every
     /// record and all buffered mail, with the mail loss accounted in the
     /// metrics and the event trace. Records repair themselves as agents
     /// keep sending movement updates.
     pub(crate) fn drop_soft_state(&mut self, ctx: &mut AgentCtx<'_>) {
-        let lost = self.mailbox.len();
-        if lost > 0 {
-            let me = ctx.self_id().raw();
-            self.shared
-                .registry()
-                .update_tracker(me, |t| t.mail_lost += lost as u64);
-            ctx.trace()
-                .emit(ctx.now(), || TraceEvent::MailExpired { tracker: me, lost });
-        }
-        self.mailbox.drain_if(|_| true);
+        self.mailbox.drop_all(ctx, self.shared.registry());
         self.records.clear();
     }
 
@@ -98,31 +61,7 @@ impl CentralBehavior {
             return;
         }
         if let Some(&node) = self.records.get(&agent) {
-            let items = self.mailbox.take_for(agent);
-            if items.is_empty() {
-                return;
-            }
-            let count = items.len();
-            let me = ctx.self_id().raw();
-            self.shared
-                .registry()
-                .update_tracker(me, |t| t.mail_flushed += count as u64);
-            ctx.trace().emit(ctx.now(), || TraceEvent::MailFlushed {
-                tracker: me,
-                target: agent.raw(),
-                count,
-            });
-            for item in items {
-                ctx.send(
-                    agent,
-                    node,
-                    Wire::MailDrop {
-                        from: item.from,
-                        data: item.data,
-                    }
-                    .payload(),
-                );
-            }
+            self.mailbox.flush(ctx, self.shared.registry(), agent, node);
         }
     }
 }
@@ -142,16 +81,7 @@ impl Agent for CentralBehavior {
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, _timer: agentrack_platform::TimerId) {
         let me = ctx.self_id().raw();
-        let lost = self.mailbox.expire(ctx.now());
-        if lost > 0 {
-            // Guaranteed delivery just failed silently for `lost` messages:
-            // make the loss visible to the registry and the event trace.
-            self.shared
-                .registry()
-                .update_tracker(me, |t| t.mail_lost += lost as u64);
-            ctx.trace()
-                .emit(ctx.now(), || TraceEvent::MailExpired { tracker: me, lost });
-        }
+        self.mailbox.drop_expired(ctx, self.shared.registry());
         let requests = self.requests_seen;
         let records_held = self.records.len();
         let mailbox_occupancy = self.mailbox.len();
@@ -174,7 +104,8 @@ impl Agent for CentralBehavior {
         // the next update (the delivery guarantee).
         if let Some(Wire::MailDrop { from, data }) = Wire::from_payload(payload) {
             self.records.remove(&to);
-            self.buffer_mail(ctx, to, from, data);
+            self.mailbox
+                .buffer(ctx, self.shared.registry(), to, from, data);
         }
     }
 
@@ -205,7 +136,9 @@ impl Agent for CentralBehavior {
                     node,
                     Wire::MailDrop { from: origin, data }.payload(),
                 ),
-                None => self.buffer_mail(ctx, target, origin, data),
+                None => self
+                    .mailbox
+                    .buffer(ctx, self.shared.registry(), target, origin, data),
             },
             Wire::Deregister { agent, .. } => {
                 self.records.remove(&agent);

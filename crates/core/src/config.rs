@@ -94,9 +94,6 @@ pub struct LocationConfig {
     pub locality_threshold: f64,
     /// Minimum recent requests before a locality decision is made.
     pub locality_min_requests: u64,
-    /// How long a tracker buffers mediated mail (`DeliverVia`) for an
-    /// agent whose location is momentarily unknown before dropping it.
-    pub mail_ttl: SimDuration,
     /// When set, hash-function copy holders (LHAgents, IAgents)
     /// periodically re-fetch from their source at this interval, so
     /// stale copies converge even without client traffic — and an
@@ -161,7 +158,6 @@ impl Default for LocationConfig {
             locality_migration: false,
             locality_threshold: 0.6,
             locality_min_requests: 50,
-            mail_ttl: SimDuration::from_secs(10),
             version_audit: None,
             replication_interval: None,
             replication_retry: SimDuration::from_millis(300),

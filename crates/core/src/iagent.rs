@@ -168,7 +168,6 @@ impl IAgentBehavior {
             config.rate_buckets,
             config.decay_interval,
         );
-        let mailbox = Mailbox::new(config.mail_ttl);
         IAgentBehavior {
             config,
             hagent,
@@ -188,7 +187,7 @@ impl IAgentBehavior {
             unplaced: Vec::new(),
             refetch_in_flight: false,
             refetch_sent_at: SimTime::ZERO,
-            mailbox,
+            mailbox: Mailbox::default(),
             origin_counts: HashMap::new(),
             relocating: false,
             requests_seen: 0,
@@ -461,65 +460,13 @@ impl IAgentBehavior {
         self.shared.update(|s| s.records_handed_off += total);
     }
 
-    /// Final mail leg: wrap as `MailDrop` and send to the recipient's
-    /// recorded node.
-    fn forward_mail(
-        &self,
-        ctx: &mut AgentCtx<'_>,
-        target: AgentId,
-        node: NodeId,
-        from: AgentId,
-        data: Vec<u8>,
-    ) {
-        ctx.send(target, node, Wire::MailDrop { from, data }.payload());
-    }
-
-    /// Buffers mail for `target`, counting the buffering in the metrics
-    /// registry and the event trace.
-    fn buffer_mail(
-        &mut self,
-        ctx: &mut AgentCtx<'_>,
-        target: AgentId,
-        from: AgentId,
-        data: Vec<u8>,
-    ) {
-        self.mailbox.push(ctx.now(), target, from, data);
-        let occupancy = self.mailbox.len();
-        let me = ctx.self_id().raw();
-        self.shared.registry().update_tracker(me, |t| {
-            t.mail_buffered += 1;
-            t.observe_mailbox(occupancy);
-        });
-        ctx.trace().emit(ctx.now(), || TraceEvent::MailBuffered {
-            tracker: me,
-            target: target.raw(),
-            occupancy,
-        });
-    }
-
     /// Mail can flow the moment a record (re)appears for `agent`.
     fn flush_mail_for(&mut self, ctx: &mut AgentCtx<'_>, agent: AgentId) {
         if self.mailbox.is_empty() {
             return;
         }
         if let Some(&node) = self.records.get(&agent) {
-            let items = self.mailbox.take_for(agent);
-            if items.is_empty() {
-                return;
-            }
-            let count = items.len();
-            let me = ctx.self_id().raw();
-            self.shared
-                .registry()
-                .update_tracker(me, |t| t.mail_flushed += count as u64);
-            ctx.trace().emit(ctx.now(), || TraceEvent::MailFlushed {
-                tracker: me,
-                target: agent.raw(),
-                count,
-            });
-            for item in items {
-                self.forward_mail(ctx, agent, node, item.from, item.data);
-            }
+            self.mailbox.flush(ctx, self.shared.registry(), agent, node);
         }
     }
 
@@ -781,16 +728,7 @@ impl Agent for IAgentBehavior {
             // buffered mail this tracker held. The records repair
             // themselves as agents keep sending movement updates; the
             // mail is lost for good, which must show in the metrics.
-            let lost = self.mailbox.len();
-            if lost > 0 {
-                let me = ctx.self_id().raw();
-                self.shared
-                    .registry()
-                    .update_tracker(me, |t| t.mail_lost += lost as u64);
-                ctx.trace()
-                    .emit(ctx.now(), || TraceEvent::MailExpired { tracker: me, lost });
-            }
-            self.mailbox.drain_if(|_| true);
+            self.mailbox.drop_all(ctx, self.shared.registry());
             self.records.clear();
             self.pending.clear();
             self.preinstall.clear();
@@ -828,17 +766,7 @@ impl Agent for IAgentBehavior {
     }
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, _timer: TimerId) {
-        let lost = self.mailbox.expire(ctx.now());
-        if lost > 0 {
-            // Guaranteed delivery just failed silently for `lost` messages:
-            // make the loss visible to the registry and the event trace.
-            let me = ctx.self_id().raw();
-            self.shared
-                .registry()
-                .update_tracker(me, |t| t.mail_lost += lost as u64);
-            ctx.trace()
-                .emit(ctx.now(), || TraceEvent::MailExpired { tracker: me, lost });
-        }
+        self.mailbox.drop_expired(ctx, self.shared.registry());
         // Expire old tombstones: any straggler from the dead sender has
         // long since drained, and the key may be reused.
         let now = ctx.now();
@@ -964,7 +892,8 @@ impl Agent for IAgentBehavior {
         // an Update may have refreshed it while the mail was in flight,
         // and a stale record corrects itself on the next update anyway.
         if let Some(Wire::MailDrop { from, data }) = Wire::from_payload(payload) {
-            self.buffer_mail(ctx, _to, from, data);
+            self.mailbox
+                .buffer(ctx, self.shared.registry(), _to, from, data);
             return;
         }
         // A re-registration solicit bounced: the resurrected record points
@@ -1175,10 +1104,17 @@ impl IAgentBehavior {
                 self.stats.record(ctx.now(), target);
                 if self.is_mine(ctx, target) {
                     match self.records.get(&target) {
-                        Some(&node) => self.forward_mail(ctx, target, node, origin, data),
+                        Some(&node) => ctx.send(
+                            target,
+                            node,
+                            Wire::MailDrop { from: origin, data }.payload(),
+                        ),
                         // Unknown right now (mid-handoff or mid-flight):
                         // hold it; the next update releases it.
-                        None => self.buffer_mail(ctx, target, origin, data),
+                        None => {
+                            self.mailbox
+                                .buffer(ctx, self.shared.registry(), target, origin, data)
+                        }
                     }
                 } else if ttl > 0 {
                     // Stale sender copy: chase toward the responsible

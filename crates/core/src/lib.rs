@@ -63,7 +63,7 @@ pub use hashed::{HashedClient, HashedScheme};
 pub use home::{HomeRegistryBehavior, HomeRegistryClient, HomeRegistryScheme};
 pub use iagent::IAgentBehavior;
 pub use lhagent::LHAgentBehavior;
-pub use mailbox::{MailItem, Mailbox, MAIL_MAX_HOPS};
+pub use mailbox::{MailItem, Mailbox, MAIL_MAX_HOPS, MAIL_TTL};
 pub use plan::{plan_split, PlanError, SplitPlan};
 pub use replica::{
     replica_usable, RecoveryPhase, RecoveryState, ReplicaEntry, ReplicaStore, Replicator,

@@ -13,9 +13,23 @@
 //! message waits in the tracker's [`Mailbox`] and rides out on the
 //! agent's very next location update. The agent's updates are the one
 //! signal that always outruns the agent.
+//!
+//! Both tracker kinds — the IAgent and the central tracker the
+//! centralized and home-registry baselines share — drive their mailbox
+//! through the same accounted operations ([`Mailbox::buffer`],
+//! [`Mailbox::flush`], [`Mailbox::drop_expired`], [`Mailbox::drop_all`]),
+//! so buffered, flushed and lost mail reach the metrics registry and the
+//! event trace identically. What a tracker does with its *record* when
+//! mail bounces stays its own policy.
 
-use agentrack_platform::AgentId;
-use agentrack_sim::{SimDuration, SimTime};
+use agentrack_platform::{AgentCtx, AgentId, NodeId};
+use agentrack_sim::{MetricsRegistry, SimDuration, SimTime, TraceEvent};
+
+use crate::wire::Wire;
+
+/// How long a tracker buffers mediated mail (`DeliverVia`) for an agent
+/// whose location is momentarily unknown before dropping it.
+pub const MAIL_TTL: SimDuration = SimDuration::from_secs(10);
 
 /// One buffered message awaiting its recipient's next location update.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,16 +44,17 @@ pub struct MailItem {
     pub deadline: SimTime,
 }
 
-/// A tracker's buffer of undeliverable-right-now messages.
+/// A tracker's buffer of undeliverable-right-now messages; each expires
+/// [`MAIL_TTL`] after it was buffered.
 ///
 /// # Examples
 ///
 /// ```
 /// use agentrack_core::Mailbox;
 /// use agentrack_platform::AgentId;
-/// use agentrack_sim::{SimDuration, SimTime};
+/// use agentrack_sim::SimTime;
 ///
-/// let mut mailbox = Mailbox::new(SimDuration::from_secs(10));
+/// let mut mailbox = Mailbox::default();
 /// mailbox.push(SimTime::ZERO, AgentId::new(7), AgentId::new(1), vec![1, 2]);
 /// let out = mailbox.take_for(AgentId::new(7));
 /// assert_eq!(out.len(), 1);
@@ -48,26 +63,16 @@ pub struct MailItem {
 #[derive(Debug, Clone, Default)]
 pub struct Mailbox {
     items: Vec<MailItem>,
-    ttl: SimDuration,
 }
 
 impl Mailbox {
-    /// Creates an empty mailbox whose items expire after `ttl`.
-    #[must_use]
-    pub fn new(ttl: SimDuration) -> Self {
-        Mailbox {
-            items: Vec::new(),
-            ttl,
-        }
-    }
-
     /// Buffers a message for `target`.
     pub fn push(&mut self, now: SimTime, target: AgentId, from: AgentId, data: Vec<u8>) {
         self.items.push(MailItem {
             target,
             from,
             data,
-            deadline: now + self.ttl,
+            deadline: now + MAIL_TTL,
         });
     }
 
@@ -111,6 +116,88 @@ impl Mailbox {
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
+
+    /// Buffers mail for `target` on the calling tracker, counting the
+    /// buffering in its registry row and the event trace.
+    pub(crate) fn buffer(
+        &mut self,
+        ctx: &mut AgentCtx<'_>,
+        registry: &MetricsRegistry,
+        target: AgentId,
+        from: AgentId,
+        data: Vec<u8>,
+    ) {
+        self.push(ctx.now(), target, from, data);
+        let occupancy = self.len();
+        let me = ctx.self_id().raw();
+        registry.update_tracker(me, |t| {
+            t.mail_buffered += 1;
+            t.observe_mailbox(occupancy);
+        });
+        ctx.trace().emit(ctx.now(), || TraceEvent::MailBuffered {
+            tracker: me,
+            target: target.raw(),
+            occupancy,
+        });
+    }
+
+    /// Mail can flow the moment a record (re)appears: sends everything
+    /// buffered for `agent` to `node` as `MailDrop`s, counting the flush.
+    pub(crate) fn flush(
+        &mut self,
+        ctx: &mut AgentCtx<'_>,
+        registry: &MetricsRegistry,
+        agent: AgentId,
+        node: NodeId,
+    ) {
+        let items = self.take_for(agent);
+        if items.is_empty() {
+            return;
+        }
+        let count = items.len();
+        let me = ctx.self_id().raw();
+        registry.update_tracker(me, |t| t.mail_flushed += count as u64);
+        ctx.trace().emit(ctx.now(), || TraceEvent::MailFlushed {
+            tracker: me,
+            target: agent.raw(),
+            count,
+        });
+        for item in items {
+            ctx.send(
+                agent,
+                node,
+                Wire::MailDrop {
+                    from: item.from,
+                    data: item.data,
+                }
+                .payload(),
+            );
+        }
+    }
+
+    /// Drops expired items, counting them as lost.
+    pub(crate) fn drop_expired(&mut self, ctx: &mut AgentCtx<'_>, registry: &MetricsRegistry) {
+        let lost = self.expire(ctx.now());
+        report_lost(ctx, registry, lost);
+    }
+
+    /// Drops every item — the tracker's soft state died in a crash —
+    /// counting them as lost.
+    pub(crate) fn drop_all(&mut self, ctx: &mut AgentCtx<'_>, registry: &MetricsRegistry) {
+        let lost = std::mem::take(&mut self.items).len();
+        report_lost(ctx, registry, lost);
+    }
+}
+
+/// Guaranteed delivery just failed for `lost` messages: make the loss
+/// visible to the registry and the event trace.
+fn report_lost(ctx: &mut AgentCtx<'_>, registry: &MetricsRegistry, lost: usize) {
+    if lost > 0 {
+        let me = ctx.self_id().raw();
+        registry.update_tracker(me, |t| t.mail_lost += lost as u64);
+        ctx.trace()
+            .emit(ctx.now(), || TraceEvent::MailExpired { tracker: me, lost });
+    }
 }
 
 /// Hop budget for tracker-to-tracker mail routing: chases across stale
@@ -128,7 +215,7 @@ mod tests {
 
     #[test]
     fn push_take_roundtrip() {
-        let mut mb = Mailbox::new(SimDuration::from_secs(1));
+        let mut mb = Mailbox::default();
         mb.push(SimTime::ZERO, AgentId::new(1), AgentId::new(9), vec![1]);
         mb.push(SimTime::ZERO, AgentId::new(2), AgentId::new(9), vec![2]);
         mb.push(SimTime::ZERO, AgentId::new(1), AgentId::new(8), vec![3]);
@@ -141,19 +228,19 @@ mod tests {
 
     #[test]
     fn expiry_drops_old_items() {
-        let mut mb = Mailbox::new(SimDuration::from_secs(1));
+        let mut mb = Mailbox::default();
         mb.push(SimTime::ZERO, AgentId::new(1), AgentId::new(9), vec![1]);
-        let later = SimTime::ZERO + SimDuration::from_millis(500);
+        let later = SimTime::ZERO + MAIL_TTL / 2;
         mb.push(later, AgentId::new(2), AgentId::new(9), vec![2]);
-        assert_eq!(mb.expire(SimTime::ZERO + SimDuration::from_millis(1100)), 1);
+        assert_eq!(mb.expire(SimTime::ZERO + MAIL_TTL), 1);
         assert_eq!(mb.len(), 1);
-        assert_eq!(mb.expire(SimTime::ZERO + SimDuration::from_secs(2)), 1);
+        assert_eq!(mb.expire(later + MAIL_TTL), 1);
         assert!(mb.is_empty());
     }
 
     #[test]
     fn drain_if_partitions() {
-        let mut mb = Mailbox::new(SimDuration::from_secs(1));
+        let mut mb = Mailbox::default();
         for i in 0..6u64 {
             mb.push(
                 SimTime::ZERO,

@@ -74,10 +74,11 @@ pub use agent::{Agent, AgentCtx};
 pub use config::{LiveConfig, PlatformConfig};
 pub use id::{AgentId, TimerId};
 pub use live::{
-    LiveHandle, LivePlatform, LiveStats, NodeHealth, OpKind, RouteCache, SlowOp, TelemetrySnapshot,
+    to_flight_json, to_flight_perfetto, LiveHandle, LivePlatform, LiveStats, NodeHealth, OpKind,
+    RouteCache, SlowOp, TelemetrySnapshot,
 };
 pub use payload::{DecodeError, Payload};
-pub use runtime::{AgentState, MsgTrace, MsgTracer, PlatformStats, SimPlatform};
+pub use runtime::{AgentState, PlatformStats, SimPlatform};
 pub use spawner::Spawner;
 
 // Re-export the sim vocabulary platform users need constantly.

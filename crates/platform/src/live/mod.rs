@@ -84,7 +84,9 @@ use batch::{DeliverItem, OutBatch};
 use registry::{ShardedRegistry, Whereabouts};
 pub use route_cache::RouteCache;
 use telemetry::Telemetry;
-pub use telemetry::{NodeHealth, OpKind, SlowOp, TelemetrySnapshot};
+pub use telemetry::{
+    to_flight_json, to_flight_perfetto, NodeHealth, OpKind, SlowOp, TelemetrySnapshot,
+};
 
 /// The `from` id used for messages injected from outside the agent world
 /// (no failure notice can be routed back to it).

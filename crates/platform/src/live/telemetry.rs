@@ -27,6 +27,14 @@
 //!   op; the flight recorder takes a lock only for ops slower than the
 //!   current K-slowest floor, which a single relaxed load rejects.
 //!
+//! The flight capture exports deterministically: [`to_flight_perfetto`]
+//! renders it as Chrome/Perfetto trace-event JSON (per op, a *queue*
+//! slice and a *handle* slice on track `pid = node`, `tid = rank`) and
+//! [`to_flight_json`] as a plain JSON array, one object per op. Both
+//! hand-build their strings from integer fields in input order (the
+//! recorder already returns ops slowest-first), so output is
+//! byte-deterministic for a given capture.
+//!
 //! A background aggregator thread (spawned by
 //! [`LivePlatform::with_config`](super::LivePlatform::with_config) when
 //! telemetry is on) publishes a fresh snapshot every
@@ -37,6 +45,7 @@
 //! handler, not merely quiet.
 
 use std::collections::BinaryHeap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
@@ -97,6 +106,19 @@ pub enum OpKind {
     Timer,
 }
 
+impl OpKind {
+    /// The kind's short label (`deliver`, `move`, `timer`), used as the
+    /// event category in the flight exports.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            OpKind::Deliver => "deliver",
+            OpKind::Move => "move",
+            OpKind::Timer => "timer",
+        }
+    }
+}
+
 /// One operation captured by the flight recorder, with the timestamps
 /// (nanoseconds since platform start) that split it into an
 /// enqueue→start *queue* phase and a start→end *handle* phase.
@@ -134,6 +156,86 @@ impl SlowOp {
     pub fn total_ns(&self) -> u64 {
         self.ended_ns.saturating_sub(self.enqueued_ns)
     }
+}
+
+/// Microseconds with fixed three-decimal precision (the Chrome
+/// trace-event time unit).
+fn us(nanos: u64) -> String {
+    format!("{:.3}", nanos as f64 / 1000.0)
+}
+
+/// Renders a flight capture as Chrome/Perfetto trace-event JSON.
+///
+/// Per op: a `queue` slice from enqueue to handler start and a `handle`
+/// slice from start to end, both named `<kind> agent <id>`, on
+/// `pid = node` / `tid = rank` (rank = position in `ops`, i.e. slowness
+/// order). Zero-length queue phases (unstamped or instantaneous) emit no
+/// queue slice. Open in `chrome://tracing` or <https://ui.perfetto.dev>.
+#[must_use]
+pub fn to_flight_perfetto(ops: &[SlowOp]) -> String {
+    let mut out = String::from("{\"traceEvents\":[\n");
+    let mut first = true;
+    for (rank, op) in ops.iter().enumerate() {
+        let mut event = |body: String, out: &mut String| {
+            if !first {
+                out.push_str(",\n");
+            }
+            first = false;
+            out.push_str(&body);
+        };
+        let pid = op.node;
+        if op.queue_ns() > 0 {
+            event(
+                format!(
+                    "{{\"name\":\"{} agent {}\",\"cat\":\"queue\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{rank}}}",
+                    op.kind.label(),
+                    op.agent,
+                    us(op.enqueued_ns),
+                    us(op.queue_ns()),
+                ),
+                &mut out,
+            );
+        }
+        event(
+            format!(
+                "{{\"name\":\"{} agent {}\",\"cat\":\"handle\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{rank}}}",
+                op.kind.label(),
+                op.agent,
+                us(op.started_ns),
+                us(op.handle_ns()),
+            ),
+            &mut out,
+        );
+    }
+    out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
+    out
+}
+
+/// Renders a flight capture as a plain JSON array, one object per op in
+/// input order, all fields integer nanoseconds.
+#[must_use]
+pub fn to_flight_json(ops: &[SlowOp]) -> String {
+    let mut out = String::from("[\n");
+    for (i, op) in ops.iter().enumerate() {
+        if i > 0 {
+            out.push_str(",\n");
+        }
+        let _ = write!(
+            out,
+            "  {{\"kind\":\"{}\",\"node\":{},\"agent\":{},\"enqueued_ns\":{},\"started_ns\":{},\"ended_ns\":{},\"queue_ns\":{},\"handle_ns\":{},\"total_ns\":{}}}",
+            op.kind.label(),
+            op.node,
+            op.agent,
+            op.enqueued_ns,
+            op.started_ns,
+            op.ended_ns,
+            op.queue_ns(),
+            op.handle_ns(),
+            op.total_ns(),
+        );
+    }
+    out.push_str("\n]\n");
+    out
 }
 
 /// Min-heap entry ordered by total duration, so the heap root is always
@@ -483,5 +585,61 @@ mod tests {
         assert_eq!(o.queue_ns(), 150);
         assert_eq!(o.handle_ns(), 150);
         assert_eq!(o.total_ns(), o.queue_ns() + o.handle_ns());
+    }
+
+    fn capture() -> Vec<SlowOp> {
+        vec![
+            SlowOp {
+                kind: OpKind::Deliver,
+                node: 2,
+                agent: 41,
+                enqueued_ns: 1_000,
+                started_ns: 4_000,
+                ended_ns: 9_000,
+            },
+            SlowOp {
+                kind: OpKind::Timer,
+                node: 0,
+                agent: 7,
+                enqueued_ns: 2_000,
+                started_ns: 2_000,
+                ended_ns: 6_500,
+            },
+        ]
+    }
+
+    #[test]
+    fn perfetto_export_is_deterministic_and_parseable_shape() {
+        let a = to_flight_perfetto(&capture());
+        let b = to_flight_perfetto(&capture());
+        assert_eq!(a, b, "same capture, same bytes");
+        assert!(a.starts_with("{\"traceEvents\":["));
+        assert!(a.trim_end().ends_with("],\"displayTimeUnit\":\"ms\"}"));
+        assert!(a.contains("\"cat\":\"queue\""));
+        assert!(a.contains("\"cat\":\"handle\""));
+        // The zero-queue timer op emits only its handle slice.
+        assert_eq!(a.matches("\"cat\":\"queue\"").count(), 1);
+        assert_eq!(a.matches("\"cat\":\"handle\"").count(), 2);
+    }
+
+    #[test]
+    fn json_export_carries_every_field() {
+        let j = to_flight_json(&capture());
+        assert!(j.contains(
+            "{\"kind\":\"deliver\",\"node\":2,\"agent\":41,\"enqueued_ns\":1000,\
+             \"started_ns\":4000,\"ended_ns\":9000,\"queue_ns\":3000,\
+             \"handle_ns\":5000,\"total_ns\":8000}"
+        ));
+        assert!(j.trim_start().starts_with('['));
+        assert!(j.trim_end().ends_with(']'));
+    }
+
+    #[test]
+    fn empty_capture_exports_empty_containers() {
+        assert_eq!(
+            to_flight_perfetto(&[]),
+            "{\"traceEvents\":[\n\n],\"displayTimeUnit\":\"ms\"}\n"
+        );
+        assert_eq!(to_flight_json(&[]), "[\n\n]\n");
     }
 }

@@ -135,32 +135,6 @@ pub struct PlatformStats {
     pub ignored_actions: u64,
 }
 
-/// A message-level trace event, passed to the tracer installed with
-/// [`SimPlatform::set_tracer`].
-///
-/// This is the raw transport view (every payload, delivered or bounced).
-/// The *protocol*-level view — structured events with correlation ids —
-/// is [`agentrack_sim::TraceSink`], installed with
-/// [`SimPlatform::set_trace_sink`].
-#[derive(Debug)]
-pub struct MsgTrace<'a> {
-    /// When it happened.
-    pub now: SimTime,
-    /// Sending agent.
-    pub from: AgentId,
-    /// Addressed agent.
-    pub to: AgentId,
-    /// Node the message was addressed to.
-    pub node: NodeId,
-    /// The payload.
-    pub payload: &'a Payload,
-    /// `true` if the handler ran; `false` if the message bounced.
-    pub delivered: bool,
-}
-
-/// A boxed message tracer, installed with [`SimPlatform::set_tracer`].
-pub type MsgTracer = Box<dyn FnMut(MsgTrace<'_>)>;
-
 /// The deterministic mobile-agent platform.
 ///
 /// # Examples
@@ -198,7 +172,6 @@ pub struct SimPlatform {
     next_agent_id: u64,
     next_timer_id: u64,
     stats: PlatformStats,
-    tracer: Option<MsgTracer>,
     trace: TraceSink,
     fault_plan: Vec<FaultEvent>,
     down: HashMap<NodeId, DownNode>,
@@ -233,7 +206,6 @@ impl SimPlatform {
             next_agent_id: 0,
             next_timer_id: 0,
             stats: PlatformStats::default(),
-            tracer: None,
             trace: TraceSink::disabled(),
             fault_plan: Vec::new(),
             down: HashMap::new(),
@@ -296,12 +268,6 @@ impl SimPlatform {
     #[must_use]
     pub fn is_live(&self, id: AgentId) -> bool {
         self.agents.contains_key(&id)
-    }
-
-    /// Installs a message tracer, called for every delivered or bounced
-    /// message. Diagnostic tool; `None` by default.
-    pub fn set_tracer(&mut self, tracer: MsgTracer) {
-        self.tracer = Some(tracer);
     }
 
     /// Installs a structured-event trace sink, visible to every agent
@@ -545,16 +511,6 @@ impl SimPlatform {
                     match incoming {
                         Incoming::Message { from, payload } => {
                             self.stats.messages_delivered += 1;
-                            if let Some(tracer) = &mut self.tracer {
-                                tracer(MsgTrace {
-                                    now: self.sched.now(),
-                                    from,
-                                    to,
-                                    node,
-                                    payload: &payload,
-                                    delivered: true,
-                                });
-                            }
                             self.invoke_queued(to, queued, |a, ctx| {
                                 a.on_message(ctx, from, &payload);
                             });
@@ -825,16 +781,6 @@ impl SimPlatform {
             self.stats.failures_dropped += 1;
             return;
         };
-        if let Some(tracer) = &mut self.tracer {
-            tracer(MsgTrace {
-                now: self.sched.now(),
-                from,
-                to,
-                node,
-                payload: &payload,
-                delivered: false,
-            });
-        }
         // Find the sender wherever it currently is; if it is gone or in
         // transit the notice is dropped (it would bounce forever).
         let Some(sender) = self.agents.get(&from) else {

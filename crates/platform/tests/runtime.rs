@@ -566,58 +566,6 @@ fn run_until_stops_at_the_deadline() {
     assert!(done_at.lock().unwrap().is_some());
 }
 
-/// The message tracer sees every delivered and bounced message.
-#[test]
-fn tracer_observes_deliveries_and_bounces() {
-    use std::sync::{Arc, Mutex};
-
-    let mut p = platform(3);
-    let seen: Arc<Mutex<Vec<(bool, String)>>> = Arc::default();
-    let sink = seen.clone();
-    p.set_tracer(Box::new(move |ev| {
-        sink.lock()
-            .unwrap()
-            .push((ev.delivered, format!("{}->{}", ev.from, ev.to)));
-    }));
-
-    let log: Log = Arc::default();
-    let responder = p.spawn(
-        Box::new(Responder {
-            log,
-            home_of_sender: NodeId::new(0),
-        }),
-        NodeId::new(1),
-    );
-    let replies = Arc::new(Mutex::new(Vec::new()));
-    let flooder = p.spawn(
-        Box::new(Flooder {
-            target: responder,
-            target_node: NodeId::new(1),
-            n: 2,
-            replies,
-        }),
-        NodeId::new(0),
-    );
-    let failures = Arc::new(Mutex::new(Vec::new()));
-    p.spawn(
-        Box::new(WrongAddresser {
-            target: AgentId::new(999),
-            failures,
-        }),
-        NodeId::new(2),
-    );
-    p.run_until_idle();
-
-    let seen = seen.lock().unwrap();
-    let delivered = seen.iter().filter(|(ok, _)| *ok).count();
-    let bounced = seen.iter().filter(|(ok, _)| !*ok).count();
-    assert_eq!(delivered, 4, "2 pings + 2 pongs: {seen:?}");
-    assert_eq!(bounced, 1, "the wrong-address probe: {seen:?}");
-    assert!(seen
-        .iter()
-        .any(|(_, route)| route == &format!("{flooder}->{responder}")));
-}
-
 /// Dispatch-then-dispose in one handler: the dispatch wins, identically on
 /// both runtimes (the behaviour already departed when the dispose ran).
 #[test]

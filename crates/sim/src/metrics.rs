@@ -150,8 +150,8 @@ impl Histogram {
             .unwrap_or(SimDuration::ZERO)
     }
 
-    /// All samples, in recording order is not guaranteed (percentile
-    /// queries may sort in place).
+    /// All samples, in no guaranteed order: a percentile query sorts
+    /// them in place.
     #[must_use]
     pub fn samples(&self) -> &[SimDuration] {
         &self.samples

@@ -5,15 +5,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use agentrack_platform::AgentId;
-use agentrack_sim::{Histogram, SimDuration, SimRng, SimTime};
-
-/// Most per-locate samples retained. Long chaos runs complete millions
-/// of locates; the sample vector is a bounded reservoir, not a log.
-pub const SAMPLE_RESERVOIR_CAP: usize = 4096;
+use agentrack_sim::{Histogram, SimDuration, SimTime};
 
 /// Everything an experiment measures, accumulated during a run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MetricsInner {
     /// Locates issued before the measurement window (warmup ramp); they
     /// exercise the system but are not part of the reported statistics.
@@ -40,39 +35,6 @@ pub struct MetricsInner {
     pub births: u64,
     /// TAgents that died (churn).
     pub deaths: u64,
-    /// Per-locate samples: `(issue time, target, elapsed)` — lets analyses
-    /// attribute tail latencies to targets or phases of the run. Bounded
-    /// at [`SAMPLE_RESERVOIR_CAP`] by deterministic reservoir sampling;
-    /// `samples_seen` counts every completed locate that was offered.
-    pub locate_samples: Vec<(SimTime, AgentId, SimDuration)>,
-    /// Completed locates offered to the sample reservoir (retained or
-    /// not). `locate_samples.len() < samples_seen` means the reservoir
-    /// overflowed and the retained set is a uniform subsample.
-    pub samples_seen: u64,
-    /// Replacement-slot randomness for the reservoir. Seeded from a
-    /// fixed constant: each scenario owns its own `Metrics`, so the
-    /// retained subsample is a pure function of the arrival sequence.
-    reservoir_rng: SimRng,
-}
-
-impl Default for MetricsInner {
-    fn default() -> Self {
-        MetricsInner {
-            warmup_locates: 0,
-            locate_times: Histogram::new(),
-            locates_issued: 0,
-            locate_failures: 0,
-            stale_answers: 0,
-            max_answer_age_ms: 0,
-            registrations: 0,
-            moves: 0,
-            births: 0,
-            deaths: 0,
-            locate_samples: Vec::new(),
-            samples_seen: 0,
-            reservoir_rng: SimRng::seed_from(0x5EED_5A3B_1E5E_0001),
-        }
-    }
 }
 
 /// Shared handle to the run's metrics; workload agents hold clones.
@@ -108,23 +70,9 @@ impl Metrics {
     }
 
     /// Records a completed locate.
-    pub fn record_locate(&self, issued: SimTime, target: AgentId, elapsed: SimDuration) {
-        if !self.measured(issued) {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        inner.locate_times.record(elapsed);
-        inner.samples_seen += 1;
-        if inner.locate_samples.len() < SAMPLE_RESERVOIR_CAP {
-            inner.locate_samples.push((issued, target, elapsed));
-        } else {
-            // Algorithm R: replace a random slot with probability
-            // cap / seen, keeping the reservoir a uniform sample.
-            let seen = inner.samples_seen;
-            let j = inner.reservoir_rng.next_u64() % seen;
-            if (j as usize) < SAMPLE_RESERVOIR_CAP {
-                inner.locate_samples[j as usize] = (issued, target, elapsed);
-            }
+    pub fn record_locate(&self, issued: SimTime, elapsed: SimDuration) {
+        if self.measured(issued) {
+            self.inner.lock().locate_times.record(elapsed);
         }
     }
 
@@ -210,7 +158,7 @@ mod tests {
         let m = Metrics::new();
         let m2 = m.clone();
         m.record_issue(SimTime::ZERO);
-        m2.record_locate(SimTime::ZERO, AgentId::new(1), SimDuration::from_millis(3));
+        m2.record_locate(SimTime::ZERO, SimDuration::from_millis(3));
         m2.record_move();
         m.record_registration();
         m.record_failure(SimTime::ZERO);
@@ -220,47 +168,7 @@ mod tests {
             assert_eq!(inner.locate_failures, 1);
             assert_eq!(inner.registrations, 1);
             assert_eq!(inner.moves, 1);
-            assert_eq!(inner.locate_samples.len(), 1);
         });
-    }
-
-    #[test]
-    fn sample_reservoir_is_bounded_and_counts_everything() {
-        let m = Metrics::new();
-        let total = SAMPLE_RESERVOIR_CAP as u64 + 1000;
-        for i in 0..total {
-            m.record_locate(
-                SimTime::from_nanos(i),
-                AgentId::new(i),
-                SimDuration::from_nanos(i),
-            );
-        }
-        m.with(|inner| {
-            assert_eq!(inner.samples_seen, total);
-            assert_eq!(inner.locate_samples.len(), SAMPLE_RESERVOIR_CAP);
-            assert_eq!(
-                inner.locate_times.len() as u64,
-                total,
-                "histogram keeps all"
-            );
-            // Replacement happened: not just the first `cap` arrivals.
-            assert!(inner
-                .locate_samples
-                .iter()
-                .any(|&(_, _, d)| d.as_nanos() >= SAMPLE_RESERVOIR_CAP as u64));
-        });
-        // Deterministic: a second identical run retains the same set.
-        let m2 = Metrics::new();
-        for i in 0..total {
-            m2.record_locate(
-                SimTime::from_nanos(i),
-                AgentId::new(i),
-                SimDuration::from_nanos(i),
-            );
-        }
-        let a = m.with(|inner| inner.locate_samples.clone());
-        let b = m2.with(|inner| inner.locate_samples.clone());
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -269,10 +177,10 @@ mod tests {
         let m = Metrics::starting_at(start);
         let early = SimTime::ZERO + SimDuration::from_secs(5);
         m.record_issue(early);
-        m.record_locate(early, AgentId::new(1), SimDuration::from_secs(2));
+        m.record_locate(early, SimDuration::from_secs(2));
         m.record_failure(early);
         m.record_issue(start);
-        m.record_locate(start, AgentId::new(2), SimDuration::from_millis(4));
+        m.record_locate(start, SimDuration::from_millis(4));
         m.with(|inner| {
             assert_eq!(inner.warmup_locates, 1);
             assert_eq!(inner.locates_issued, 1);

@@ -202,14 +202,12 @@ impl QuerierBehavior {
         match f(self.client.as_mut(), ctx) {
             ClientEvent::Located {
                 token,
-                target,
                 stale,
                 age_ms,
                 ..
             } => {
                 if let Some(issued) = self.issued_at.remove(&token) {
-                    self.metrics
-                        .record_locate(issued, target, ctx.now() - issued);
+                    self.metrics.record_locate(issued, ctx.now() - issued);
                     self.metrics.record_answer_age(issued, stale, age_ms);
                 }
             }

@@ -115,12 +115,8 @@ pub struct QuerySpike {
 /// Options for [`Scenario::run_with`]: the instruments to install on the
 /// run's platform and the post-run checks to perform. `RunOptions::new()`
 /// (or `default()`) is a plain, uninstrumented, unaudited run.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct RunOptions {
-    /// Message tracer installed on the platform (diagnostics; identical
-    /// seed ⇒ identical run, so a slow operation found in one run can be
-    /// traced in a second).
-    pub tracer: Option<agentrack_platform::MsgTracer>,
     /// Structured trace sink: protocol agents emit
     /// [`agentrack_sim::TraceEvent`]s into it, so a locate's multi-hop
     /// path can be reconstructed by correlation id after the run. Keep a
@@ -132,17 +128,10 @@ pub struct RunOptions {
 }
 
 impl RunOptions {
-    /// A plain run: no tracer, no trace sink, no invariant audit.
+    /// A plain run: no trace sink, no invariant audit.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Installs a message tracer on the run's platform.
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: agentrack_platform::MsgTracer) -> Self {
-        self.tracer = Some(tracer);
-        self
     }
 
     /// Installs a structured [`TraceSink`] on the run's platform.
@@ -157,16 +146,6 @@ impl RunOptions {
     pub fn with_audit(mut self, audit: AuditOptions) -> Self {
         self.audit = Some(audit);
         self
-    }
-}
-
-impl std::fmt::Debug for RunOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunOptions")
-            .field("tracer", &self.tracer.as_ref().map(|_| "MsgTracer"))
-            .field("sink", &self.sink)
-            .field("audit", &self.audit)
-            .finish()
     }
 }
 
@@ -188,13 +167,6 @@ pub struct AuditOptions {
 pub struct RunOutput {
     /// The scenario report: the paper's metric plus diagnostics.
     pub report: ScenarioReport,
-    /// Per-locate samples `(issue time, target, elapsed)` for tail
-    /// analyses, from the bounded reservoir.
-    pub samples: Vec<(
-        agentrack_sim::SimTime,
-        agentrack_platform::AgentId,
-        SimDuration,
-    )>,
     /// The invariant audit result, when [`RunOptions::audit`] was set.
     pub invariants: Option<InvariantReport>,
 }
@@ -309,24 +281,18 @@ impl Scenario {
     /// the single entry point for every run, and the one the spec-driven
     /// trial runner drives.
     ///
-    /// The options choose the optional instruments (message tracer,
-    /// structured [`TraceSink`]) and whether to audit the post-quiesce
-    /// invariants afterwards; the returned [`RunOutput`] carries the
-    /// report, the per-locate samples, and the audit result when one was
-    /// requested.
+    /// The options choose the optional structured [`TraceSink`] and
+    /// whether to audit the post-quiesce invariants afterwards; the
+    /// returned [`RunOutput`] carries the report and the audit result
+    /// when one was requested.
     ///
     /// # Panics
     ///
     /// Panics if the scenario is degenerate (no agents, no queriers with
     /// queries, zero nodes).
     pub fn run_with(&self, scheme: &mut dyn LocationScheme, options: RunOptions) -> RunOutput {
-        let RunOptions {
-            tracer,
-            sink,
-            audit,
-        } = options;
-        let (report, samples, mut platform, tagents, population) =
-            self.run_full(scheme, tracer, sink);
+        let RunOptions { sink, audit } = options;
+        let (report, mut platform, tagents, population) = self.run_full(scheme, sink);
         let invariants = audit.map(|audit| {
             invariants::check(
                 self,
@@ -338,26 +304,15 @@ impl Scenario {
                 audit.strict_versions,
             )
         });
-        RunOutput {
-            report,
-            samples,
-            invariants,
-        }
+        RunOutput { report, invariants }
     }
 
-    #[allow(clippy::type_complexity)]
     fn run_full(
         &self,
         scheme: &mut dyn LocationScheme,
-        tracer: Option<agentrack_platform::MsgTracer>,
         sink: TraceSink,
     ) -> (
         ScenarioReport,
-        Vec<(
-            agentrack_sim::SimTime,
-            agentrack_platform::AgentId,
-            SimDuration,
-        )>,
         SimPlatform,
         Vec<agentrack_platform::AgentId>,
         Population,
@@ -389,9 +344,6 @@ impl Scenario {
             .with_seed(self.seed)
             .with_handler_service_time(self.service_time);
         let mut platform = SimPlatform::new(topology, platform_config);
-        if let Some(tracer) = tracer {
-            platform.set_tracer(tracer);
-        }
         if sink.is_enabled() {
             platform.set_trace_sink(sink);
         }
@@ -554,7 +506,6 @@ impl Scenario {
                 trace_dropped,
             );
         }
-        let samples = metrics.with(|m| std::mem::take(&mut m.locate_samples));
         let report = metrics.with(|m| ScenarioReport {
             scenario: self.name.clone(),
             scheme: scheme.name().to_owned(),
@@ -604,12 +555,10 @@ impl Scenario {
             stale_located: m.stale_answers,
             max_answer_age_ms: m.max_answer_age_ms,
             trace_dropped,
-            samples_retained: samples.len() as u64,
-            samples_seen: m.samples_seen,
         });
         // The population handle lets the audit freeze churn and mobility
         // and read the live roster.
-        (report, samples, platform, tagents, population)
+        (report, platform, tagents, population)
     }
 }
 
@@ -715,12 +664,6 @@ pub struct ScenarioReport {
     /// Trace records dropped because the [`TraceSink`] ring overflowed
     /// (zero when tracing is disabled or the ring was large enough).
     pub trace_dropped: u64,
-    /// Per-locate samples retained in the bounded reservoir.
-    pub samples_retained: u64,
-    /// Per-locate samples offered to the reservoir (every completed
-    /// measured locate); `samples_retained < samples_seen` means the
-    /// retained set is a uniform subsample.
-    pub samples_seen: u64,
 }
 
 impl ScenarioReport {

@@ -7,7 +7,7 @@
 use std::sync::{Arc, Mutex};
 
 use agentrack::core::{
-    CentralizedScheme, DirectoryClient, HashFunction, IAgentBehavior, LocationConfig,
+    CentralizedScheme, DirectoryClient, HashFunction, HashedScheme, IAgentBehavior, LocationConfig,
     LocationScheme, SharedSchemeStats, Wire,
 };
 use agentrack::platform::{
@@ -114,13 +114,24 @@ impl std::fmt::Debug for MailSender {
 
 /// Two pieces of mail buffered 5 s apart for a target that never shows up
 /// expire in two separate sweeps: two `MailExpired` trace events, and the
-/// tracker's `mail_lost` gauge counts both.
+/// tracker's `mail_lost` gauge counts both. Checked on both tracker kinds
+/// that share the mailbox: the central tracker and the IAgent.
 #[test]
 fn buffered_mail_expires_twice_and_is_counted() {
+    let config = LocationConfig::default();
+    let schemes: [Box<dyn LocationScheme>; 2] = [
+        Box::new(CentralizedScheme::new(config.clone())),
+        Box::new(HashedScheme::new(config)),
+    ];
+    for scheme in schemes {
+        mail_expires_twice_and_is_counted(scheme);
+    }
+}
+
+fn mail_expires_twice_and_is_counted(mut scheme: Box<dyn LocationScheme>) {
     let mut platform = SimPlatform::new(lan(4), PlatformConfig::default().with_seed(9));
     let sink = TraceSink::bounded(100_000);
     platform.set_trace_sink(sink.clone());
-    let mut scheme = CentralizedScheme::new(LocationConfig::default());
     scheme.bootstrap(&mut platform);
 
     let sender = MailSender {
@@ -146,7 +157,8 @@ fn buffered_mail_expires_twice_and_is_counted() {
     assert_eq!(
         expiries,
         vec![1, 1],
-        "expected two single-item expiry sweeps, got {expiries:?}"
+        "{}: expected two single-item expiry sweeps, got {expiries:?}",
+        scheme.name()
     );
     let mail_lost: u64 = scheme
         .registry()
@@ -155,7 +167,12 @@ fn buffered_mail_expires_twice_and_is_counted() {
         .iter()
         .map(|(_, t)| t.mail_lost)
         .sum();
-    assert_eq!(mail_lost, 2, "both expired items must be counted as lost");
+    assert_eq!(
+        mail_lost,
+        2,
+        "{}: both expired items must be counted as lost",
+        scheme.name()
+    );
 }
 
 /// Plays a dead-silent HAgent (records split requests, never answers) and
